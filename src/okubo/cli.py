@@ -93,6 +93,28 @@ def _add_spec_flags(p):
                    help="rng seed when exponents are omitted")
 
 
+def _read_input(path, parse):
+    """parse(JSON of ``path``); an unreadable file or a missing or ill-typed
+    schema key is a usage error, while an OkuboError raised by system
+    validation passes through (exit 3)."""
+    try:
+        return parse(core.load_json(path))
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+    except KeyError as exc:
+        reason = f"missing key {exc}"
+    except (ValueError, TypeError, IndexError) as exc:
+        reason = str(exc)
+    raise argparse.ArgumentTypeError(f"cannot read {path}: {reason}")
+
+
+def _okubo_or_schlesinger(data):
+    # the Okubo schema has "A", the Schlesinger one "residues"
+    if "A" in data:
+        return okubo_from_json(data)
+    return core.schlesinger_from_json(data)
+
+
 def _write(path, payload):
     if path in (None, "-"):
         json.dump(payload, sys.stdout, indent=1)
@@ -130,14 +152,13 @@ def cmd_generate(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    data = core.load_json(args.input)
-    # accept either the Okubo schema ("A") or the Schlesinger one ("residues")
-    if "A" in data:
-        sysm = okubo_from_json(data)
+    data = _read_input(args.input, _okubo_or_schlesinger)
+    if isinstance(data, core.OkuboSystem):
+        sysm = data
         sch = core.okubo_to_schlesinger(sysm)
     else:
         sysm = None
-        sch = core.schlesinger_from_json(data)
+        sch = data
     if args.mu is not None:
         out, witness = middle_convolution_system(sch, args.mu)
         payload = core.schlesinger_to_json(out)
@@ -176,8 +197,7 @@ def cmd_connection(args) -> int:
             raise GenericityError("type I* connection has no recurrence chain")
         conn = recurrence_connection(spec, cfg)
     else:
-        conn = closed_form_connection(spec, cfg, variant=args.variant,
-                                      istar_sign=args.istar_sign)
+        conn = closed_form_connection(spec, cfg, istar_sign=args.istar_sign)
     mon = assemble_monodromy(conn, spec)
     payload = _conn_payload(spec, conn, mon)
     residuals = {}
@@ -200,7 +220,7 @@ def cmd_monodromy(args) -> int:
     payload = {}
     tol = args.tol
     if args.input:
-        sysm = okubo_from_json(core.load_json(args.input))
+        sysm = _read_input(args.input, okubo_from_json)
         spec = _spec_from_args(args) if args.type else None
     elif args.type:
         spec = _spec_from_args(args)
@@ -257,7 +277,7 @@ def cmd_verify(args) -> int:
     tol = args.tol
     checks = []
     canon = canonical_system(spec)
-    sysm = okubo_from_json(core.load_json(args.input)) if args.input else canon
+    sysm = _read_input(args.input, okubo_from_json) if args.input else canon
 
     chain_sys, _ = katz_chain(spec)
     scale = max(1.0, float(np.max(np.abs(canon.A))))
@@ -328,8 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_flags(p)
     p.add_argument("--method", choices=("closed-form", "recurrence"),
                    default="closed-form")
-    p.add_argument("--variant", choices=("adjudicated", "literal"),
-                   default="adjudicated")
     p.add_argument("--istar-sign", choices=("theorem", "derivation"),
                    default="theorem")
     p.add_argument("-o", "--output", default="-")

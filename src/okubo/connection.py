@@ -6,9 +6,8 @@ Sign conventions.  The overall signs and a few index patterns of these
 gamma-product formulas admit more than one plausible normalization; every
 default here was adjudicated entrywise against the numerical monodromy of
 the canonical systems (module ``verify``) at several sizes and random
-generic exponents.  ``variant="literal"`` keeps the classical unadjusted
-normalization for cross-checking, and the type I* half-period ambiguity
-stays selectable via ``istar_sign``.
+generic exponents.  The type I* half-period ambiguity stays selectable via
+``istar_sign``.
 """
 
 from __future__ import annotations
@@ -35,18 +34,6 @@ from .core import (
 from .yokoyama import YokoyamaSpec, swap_spec
 
 
-def _prod(factors):
-    out = 1.0 + 0.0j
-    for f in factors:
-        out *= f
-    return out
-
-
-def _gratio(num_args, den_args):
-    s = sum(lgamma_c(a) for a in num_args) - sum(lgamma_c(a) for a in den_args)
-    return cmath.exp(s)
-
-
 # ---------------------------------------------------------------------------
 # connection data
 
@@ -70,17 +57,11 @@ class ConnectionData:
     def d(self):
         return self.matrices.get((1, 0))
 
-    def check_finite(self):
-        for kj, m in self.matrices.items():
-            if not np.all(np.isfinite(m)):
-                raise ShapeError(f"C^{kj} has non-finite entries")
-
 
 # ---------------------------------------------------------------------------
-# closed forms (adjudicated defaults; "literal" = unadjusted normalization)
+# closed forms (verifier-adjudicated normalization)
 
 def closed_form_connection(spec: YokoyamaSpec, cfg: PathConfig | None = None,
-                           variant: str = "adjudicated",
                            istar_sign: str = "theorem") -> ConnectionData:
     """Evaluate every connection matrix from the gamma-product formulas.
 
@@ -93,46 +74,43 @@ def closed_form_connection(spec: YokoyamaSpec, cfg: PathConfig | None = None,
     spec.check_genericity()
     kind = spec.kind
     if kind == "I":
-        return _connection_type_I(spec, cfg, variant)
+        return _connection_type_I(spec, cfg)
     if kind == "I*":
-        return _connection_type_Istar(spec, cfg, variant, istar_sign)
-    return _connection_type_II_III(spec, cfg, variant)
+        return _connection_type_Istar(spec, cfg, istar_sign)
+    return _connection_type_II_III(spec, cfg)
 
 
-def _connection_type_I(spec, cfg, variant):
+def _connection_type_I(spec, cfg):
     n, al, rho = spec.n, spec.alpha, spec.rho
     bp = lambda i, j, x: branch_power(i, j, x, cfg)
     r2 = rho[1]
-    # verifier-pinned prefactors; the literal variant alternates with n
-    c_sign = (-1.0) ** n if variant == "literal" else -1.0
-    d_sign = 1.0
     c = np.empty((n - 1, 1), dtype=complex)
     d = np.empty((1, n - 1), dtype=complex)
     an = al[n - 1]
+    # verifier-pinned prefactors: -1 on C, +1 on D
     for i in range(n - 1):
         ai = al[i]
-        c[i, 0] = (c_sign * e_of((r2 - ai - an) / 2)
+        c[i, 0] = (-e_of((r2 - ai - an) / 2)
                    * bp(0, 1, r2 - ai) / bp(1, 0, r2 - an)
-                   * _gratio([-ai, an + 1]
-                             + [1 + al[k] - ai for k in range(n - 1) if k != i],
-                             [1 + r - ai for r in rho]))
+                   * gamma_ratio([-ai, an + 1]
+                                 + [1 + al[k] - ai for k in range(n - 1) if k != i],
+                                 [1 + r - ai for r in rho]))
     for j in range(n - 1):
         aj = al[j]
-        d[0, j] = (d_sign * e_of((-r2 + aj + an) / 2)
+        d[0, j] = (e_of((-r2 + aj + an) / 2)
                    * bp(1, 0, r2 - an) / bp(0, 1, r2 - aj)
-                   * _gratio([1 + aj, -an]
-                             + [aj - al[k] for k in range(n - 1) if k != j],
-                             [aj - r for r in rho]))
+                   * gamma_ratio([1 + aj, -an]
+                                 + [aj - al[k] for k in range(n - 1) if k != j],
+                                 [aj - r for r in rho]))
     return ConnectionData({(0, 1): c, (1, 0): d}, cfg, spec.blocks.sizes)
 
 
-def _connection_type_Istar(spec, cfg, variant, istar_sign):
+def _connection_type_Istar(spec, cfg, istar_sign):
     if istar_sign not in ("theorem", "derivation"):
         raise ShapeError("istar_sign must be 'theorem' or 'derivation'")
     n, al = spec.n, spec.alpha
     r1 = spec.rho[0]
     bp = lambda i, j, x: branch_power(i, j, x, cfg)
-    sign = -1.0 if variant != "literal" else 1.0
     mats = {}
     for i in range(n):
         for j in range(n):
@@ -142,16 +120,16 @@ def _connection_type_Istar(spec, cfg, variant, istar_sign):
                 half = e_of(-r1 / 2) if i < j else e_of(r1 / 2)
             else:
                 half = e_of(r1 / 2) if i < j else e_of(-r1 / 2)
-            val = (sign * half
-                   * _prod(bp(i, k, al[k] - r1) for k in range(n) if k != i)
-                   / _prod(bp(j, k, al[k] - r1) for k in range(n) if k != j)
-                   * _gratio([-al[i], al[j] + 1],
-                             [al[j] - r1, 1 + r1 - al[i]]))
+            val = (-half
+                   * math.prod(bp(i, k, al[k] - r1) for k in range(n) if k != i)
+                   / math.prod(bp(j, k, al[k] - r1) for k in range(n) if k != j)
+                   * gamma_ratio([-al[i], al[j] + 1],
+                                 [al[j] - r1, 1 + r1 - al[i]]))
             mats[(i, j)] = np.array([[val]], dtype=complex)
     return ConnectionData(mats, cfg, spec.blocks.sizes)
 
 
-def _connection_type_II_III(spec, cfg, variant):
+def _connection_type_II_III(spec, cfg):
     kind, n = spec.kind, spec.n
     al, be = spec.alpha, spec.beta
     m = len(al)
@@ -160,54 +138,41 @@ def _connection_type_II_III(spec, cfg, variant):
     r2 = rho[1] if len(rho) == 3 else 0.0   # absent slot of (II)_2
     r3 = rho[-1]
     bp = lambda i, j, x: branch_power(i, j, x, cfg)
-    literal = variant == "literal"
-    if kind == "II":
-        c_sign = (-1.0) ** (n - 1) if literal else -1.0
-        d_sign = (-1.0) ** (n - 1) if literal else -1.0
-    else:
-        c_sign = (-1.0) ** n if literal else -1.0
-        d_sign = (-1.0) ** (n - 1) if literal else -1.0
     c = np.empty((m, n), dtype=complex)
     d = np.empty((n, m), dtype=complex)
     for i in range(m):
         for j in range(n):
             ai, bj = al[i], be[j]
-            a_sym = al[0] if literal else ai
             if kind == "II":
                 head_den = [1 + r1 - ai, bj - r1]
-            elif literal:
-                head_den = [ai - r1, ai - r2]
             else:
                 head_den = [1 + r1 - ai, 1 + r2 - ai]
-            c[i, j] = (c_sign * e_of((r3 - ai - bj) / 2)
+            c[i, j] = (-e_of((r3 - ai - bj) / 2)
                        * bp(0, 1, r3 - ai) / bp(1, 0, r3 - bj)
-                       * _gratio(
+                       * gamma_ratio(
                            [bj + 1, -ai]
                            + [1 + al[k] - ai for k in range(m) if k != i]
                            + [bj - be[k] for k in range(n) if k != j],
                            head_den
-                           + [1 + r1 + r2 - a_sym - be[k]
+                           + [1 + r1 + r2 - ai - be[k]
                               for k in range(n) if k != j]
                            + [bj + al[k] - r1 - r2 for k in range(m) if k != i]))
     for i in range(n):
         for j in range(m):
             bi, aj = be[i], al[j]
-            b_sym = be[0] if literal else bi
             if kind == "II":
                 head_den = [aj - r1, 1 + r1 - bi]
-            elif literal:
-                head_den = [1 + r1 - aj, 1 + r2 - aj]
             else:
                 head_den = [aj - r1, aj - r2]
-            d[i, j] = (d_sign * e_of((aj + bi - r3) / 2)
+            d[i, j] = (-e_of((aj + bi - r3) / 2)
                        * bp(1, 0, r3 - bi) / bp(0, 1, r3 - aj)
-                       * _gratio(
+                       * gamma_ratio(
                            [-bi, aj + 1]
                            + [aj - al[k] for k in range(m) if k != j]
                            + [1 + be[k] - bi for k in range(n) if k != i],
                            head_den
                            + [aj + be[k] - r1 - r2 for k in range(n) if k != i]
-                           + [1 + r1 + r2 - al[k] - b_sym
+                           + [1 + r1 + r2 - al[k] - bi
                               for k in range(m) if k != j]))
     return ConnectionData({(0, 1): c, (1, 0): d}, cfg, spec.blocks.sizes)
 
@@ -332,10 +297,10 @@ def recurrence_step(state: RecurrenceState, k: int, c, rho) -> RecurrenceState:
     bp = lambda i, j, x: branch_power(i, j, x, cfg)
 
     def left(i, vec):
-        return np.array([gamma_ratio(s - a, -a) for a in vec])
+        return np.array([gamma_ratio([s - a], [-a]) for a in vec])
 
     def right_j(vec):
-        return np.array([gamma_ratio(a - s + 1, a + 1) for a in vec])
+        return np.array([gamma_ratio([a - s + 1], [a + 1]) for a in vec])
 
     new_conn = {}
     for (i, j), mat in state.conn.items():
@@ -349,7 +314,7 @@ def recurrence_step(state: RecurrenceState, k: int, c, rho) -> RecurrenceState:
         if j == k and i != k:
             half = e_of(s / 2) if i < k else e_of(-s / 2)
             fac = bp(i, k, s) * half
-            col = np.array([gamma_ratio(a - rho, a + c) for a in exps[k]])
+            col = np.array([gamma_ratio([a - rho], [a + c]) for a in exps[k]])
             old = fac * left(i, exps[i])[:, None] * mat * col[None, :]
             new = np.full((len(exps[i]), len(exps[k]) + 1), np.nan,
                           dtype=complex)
@@ -361,7 +326,7 @@ def recurrence_step(state: RecurrenceState, k: int, c, rho) -> RecurrenceState:
             # verified closed forms
             half = e_of(-s / 2) if j < k else e_of(s / 2)
             fac = bp(j, k, -s) * half
-            row = np.array([gamma_ratio(1 + rho - a, 1 - a - c)
+            row = np.array([gamma_ratio([1 + rho - a], [1 - a - c])
                             for a in exps[k]])
             old = fac * row[:, None] * mat * right_j(exps[j])[None, :]
             new = np.full((len(exps[k]) + 1, len(exps[j])), np.nan,
@@ -381,28 +346,21 @@ def recurrence_step(state: RecurrenceState, k: int, c, rho) -> RecurrenceState:
 # ---------------------------------------------------------------------------
 # initial data and chains
 
-def initial_connection(alpha1, alpha2, rho1, cfg: PathConfig,
-                       variant: str = "adjudicated") -> dict:
+def initial_connection(alpha1, alpha2, rho1, cfg: PathConfig) -> dict:
     """The four rank-2 seeds: C1/D1 for the canonical (I)_2 gauge and
     C11/D11 for the (II)_2 (hypergeometric) gauge.
-
-    ``variant="literal"`` returns the unadjusted normalization instead
-    (C1 flips sign; D11's last gamma argument becomes 1 - beta_1 - rho_1).
     """
     a1, b1, r1 = complex(alpha1), complex(alpha2), complex(rho1)
     r2 = a1 + b1 - r1
     bp = lambda i, j, x: branch_power(i, j, x, cfg)
-    literal = variant == "literal"
-    c1_sign = 1.0 if literal else -1.0
-    d11_last = (1 - b1 - r1) if literal else (1 + r1 - b1)
-    c1 = (c1_sign * e_of(-r1 / 2) * bp(0, 1, r2 - a1) / bp(1, 0, a1 - r1)
-          * _gratio([-a1, b1 + 1], [1 + r2 - a1, 1 + r1 - a1]))
+    c1 = (-e_of(-r1 / 2) * bp(0, 1, r2 - a1) / bp(1, 0, a1 - r1)
+          * gamma_ratio([-a1, b1 + 1], [1 + r2 - a1, 1 + r1 - a1]))
     d1 = (e_of(r1 / 2) * bp(1, 0, a1 - r1) / bp(0, 1, b1 - r1)
-          * _gratio([-b1, a1 + 1], [a1 - r1, a1 - r2]))
+          * gamma_ratio([-b1, a1 + 1], [a1 - r1, a1 - r2]))
     c11 = (-e_of(-r1 / 2) * bp(0, 1, b1 - r1) / bp(1, 0, a1 - r1)
-           * _gratio([-a1, b1 + 1], [b1 - r1, 1 + r1 - a1]))
+           * gamma_ratio([-a1, b1 + 1], [b1 - r1, 1 + r1 - a1]))
     d11 = (-e_of(r1 / 2) * bp(1, 0, a1 - r1) / bp(0, 1, b1 - r1)
-           * _gratio([-b1, a1 + 1], [a1 - r1, d11_last]))
+           * gamma_ratio([-b1, a1 + 1], [a1 - r1, 1 + r1 - b1]))
     return {"C1": c1, "D1": d1, "C11": c11, "D11": d11}
 
 

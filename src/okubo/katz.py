@@ -50,13 +50,6 @@ class ReductionWitness:
     m: int = 0                          # rank of the L-reduction
     tol: float = FACTOR_TOL
 
-    @property
-    def n_tilde(self) -> int:
-        return sum(self.ranks)
-
-    def k_blocks(self) -> BlockStructure:
-        return BlockStructure(tuple(r for r in self.ranks if r > 0))
-
     def to_json(self) -> dict:
         return {
             "parameter": [complex(self.parameter).real, complex(self.parameter).imag],
@@ -72,7 +65,7 @@ class ReductionWitness:
 
 @dataclass
 class McAddWitness:
-    """Rank-complement factors and gauges for a mc-with-additions step."""
+    """Rank-complement factors for a mc-with-additions step."""
 
     k: int
     c: complex | None = None           # additive parameters ...
@@ -81,8 +74,6 @@ class McAddWitness:
     lam: complex | None = None
     xi: np.ndarray | None = None       # stacked (n - n_k) x l
     eta: np.ndarray | None = None      # stacked l x (n - n_k)
-    gauge: np.ndarray | None = None    # G (additive) or script-G (multiplicative)
-    gq: np.ndarray | None = None
 
     def to_json(self) -> dict:
         def c2(v):
@@ -96,7 +87,6 @@ class McAddWitness:
             "c": c2(self.c), "rho": c2(self.rho),
             "s": c2(self.s), "lambda": c2(self.lam),
             "xi": m2(self.xi), "eta": m2(self.eta),
-            "gauge": m2(self.gauge), "gq": m2(self.gq),
         }
 
 
@@ -451,57 +441,8 @@ def mc_add_system(sys: OkuboSystem, k: int, c, rho, xi_eta=None,
     if l:
         amc[sl_kn, sl_kn] = rho * np.eye(l)
 
-    g = _mc_add_gauge(sys, k, rho, xi, akk_rho_inv, new_blocks, l)
-    gq = _mc_add_gq(sys, k, c, rho, xi, eta, akk_rho_inv, new_blocks, l)
-    witness = McAddWitness(k=k, c=c, rho=rho, xi=xi, eta=eta, gauge=g, gq=gq)
+    witness = McAddWitness(k=k, c=c, rho=rho, xi=xi, eta=eta)
     return OkuboSystem(blocks=new_blocks, points=sys.points, A=amc), witness
-
-
-def _mc_add_gauge(sys, k, rho, xi, akk_rho_inv, new_blocks, l):
-    n, r = sys.n, sys.r
-    nk = sys.blocks.sizes[k]
-    nm = n + l
-    g = np.eye(nm, dtype=complex)
-    ko = new_blocks.offset(k)
-    sl_ko = slice(ko, ko + nk)
-    sl_kn = slice(ko + nk, ko + nk + l)
-    xi_rows = split_rows(xi, sys.blocks, k)
-    for i in range(r):
-        if i == k:
-            continue
-        g[new_blocks.block_slice(i), sl_ko] = sys.block(i, k) @ akk_rho_inv
-        if l:
-            g[new_blocks.block_slice(i), sl_kn] = xi_rows[i]
-    return g
-
-
-def _mc_add_gq(sys, k, c, rho, xi, eta, akk_rho_inv, new_blocks, l):
-    """The combined transformation W = GQ Z from the nr-dimensional
-    convolution down to the Okubo form (recorded for audit)."""
-    n, r = sys.n, sys.r
-    nk = sys.blocks.sizes[k]
-    nm = n + l
-    gq = np.zeros((nm, n * r), dtype=complex)
-    # Q_0 = rows (A_k1 ... A_kk - rho ... A_kr ; eta_1 ... 0 ... eta_r)
-    q0 = np.zeros((nk + l, n), dtype=complex)
-    q0[:nk] = sys.A[sys.blocks.block_slice(k), :]
-    q0[:nk, sys.blocks.block_slice(k)] = sys.block(k, k) - rho * np.eye(nk)
-    if l:
-        cols = split_cols(eta, sys.blocks, k)
-        for j in range(r):
-            if j != k:
-                q0[nk:, sys.blocks.block_slice(j)] = cols[j]
-    for i in range(r):
-        sl_new = new_blocks.block_slice(i)
-        if i == k:
-            gq[sl_new, k * n:(k + 1) * n] = q0
-            continue
-        qi = sys.A[sys.blocks.block_slice(i), :]
-        gq[sl_new, i * n:(i + 1) * n] = qi
-        blk = np.zeros((sys.blocks.sizes[i], n), dtype=complex)
-        blk[:, sys.blocks.block_slice(i)] = -rho * np.eye(sys.blocks.sizes[i])
-        gq[sl_new, k * n:(k + 1) * n] = blk
-    return gq
 
 
 # ---------------------------------------------------------------------------
@@ -627,45 +568,7 @@ def mc_add_monodromy(mon: MonodromyTuple, blocks: BlockStructure, k: int,
                     mi[sl_new_i, sl_kn] = lam * (1.0 - lam / s) * acc
         mats.append(mi)
 
-    gauge = _mc_add_mono_gauge(mon, blocks, k, s, lam, m0k, m0k_inv,
-                               xkk_inv, xi, new_blocks, l)
-    witness = McAddWitness(k=k, s=s, lam=lam, xi=xi, eta=eta, gauge=gauge)
+    witness = McAddWitness(k=k, s=s, lam=lam, xi=xi, eta=eta)
     out = MonodromyTuple(matrices=tuple(mats), config=mon.config,
                          blocks=new_blocks)
     return out, witness
-
-
-def _mc_add_mono_gauge(mon, blocks, k, s, lam, m0k, m0k_inv, xkk_inv, xi,
-                       new_blocks, l):
-    """The script-G conjugation used to restore Okubo type (audit record)."""
-    n, r = mon.n, mon.r
-    nk = blocks.sizes[k]
-    nm = n + l
-    ko = new_blocks.offset(k)
-    sl_kcol = slice(ko, ko + nk + l)
-    g = np.eye(nm, dtype=complex)
-    # P_0^(k) rows: (M^(k)_ik (M^(k)_kk - 1)^{-1} | xi_i), row k = (1 | 0)
-    xi_rows = split_rows(xi, blocks, k) if l else {}
-    for i in range(r):
-        if i == k:
-            continue
-        row = np.zeros((blocks.sizes[i], nk + l), dtype=complex)
-        row[:, :nk] = m0k[blocks.block_slice(i), blocks.block_slice(k)] @ xkk_inv
-        if l:
-            row[:, nk:] = xi_rows[i]
-        if i < k:
-            g[new_blocks.block_slice(i), sl_kcol] = (s / lam) * row
-        else:
-            # lam * (M_0^(k))^{-1} row i times P_0^(k)
-            p0 = np.zeros((n, nk + l), dtype=complex)
-            for p in range(r):
-                if p == k:
-                    continue
-                p0[blocks.block_slice(p), :nk] = \
-                    m0k[blocks.block_slice(p), blocks.block_slice(k)] @ xkk_inv
-                if l:
-                    p0[blocks.block_slice(p), nk:] = xi_rows[p]
-            p0[blocks.block_slice(k), :nk] = np.eye(nk)
-            g[new_blocks.block_slice(i), sl_kcol] = \
-                lam * m0k_inv[blocks.block_slice(i), :] @ p0
-    return g

@@ -45,9 +45,6 @@ class LocalSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def tail_estimate(self, r: float) -> float:
-        return matrix_scale(self.coeffs[-1]) * r ** self.order
-
 
 def frobenius_series(sys: OkuboSystem, k: int, order: int) -> LocalSeries:
     """Recursively computed local series coefficients (exactly ``order`` of
@@ -103,7 +100,6 @@ def adaptive_series(sys: OkuboSystem, k: int, r_eval: float,
                     tol: float = 1e-13, cap: int = 200) -> LocalSeries:
     """Grow the series until the tail estimate at radius r_eval drops below
     tol (three consecutive terms), hard cap per the design contract."""
-    n = sys.n
     step = 12
     series = frobenius_series(sys, k, step)
     while series.order < cap:
@@ -333,10 +329,6 @@ def ode_residual(sys: OkuboSystem, x: complex, y: np.ndarray,
 
 # ---------------------------------------------------------------------------
 # verification report
-
-def _entrywise_err(a, b) -> float:
-    return matrix_scale(np.asarray(a) - np.asarray(b))
-
 
 def spectrum_matches(mat: np.ndarray, values, tol: float) -> float:
     """Distance between the eigenvalue multiset of mat and the expected one.

@@ -8,6 +8,7 @@ local exponents (alpha, beta) and the exponents rho at infinity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -232,13 +233,6 @@ def sample_spec(kind: str, n: int, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 # canonical forms
 
-def _prod(factors):
-    out = 1.0 + 0.0j
-    for f in factors:
-        out *= f
-    return out
-
-
 def _check_denominator(value, what):
     if abs(value) < 1e-12:
         raise GenericityError(f"vanishing denominator in {what}")
@@ -255,9 +249,9 @@ def canonical_system(spec: YokoyamaSpec) -> OkuboSystem:
         a[n - 1, n - 1] = al[n - 1]
         a[:n - 1, n - 1] = 1.0
         for j in range(n - 1):
-            num = _prod(al[j] - r for r in rho)
+            num = math.prod(al[j] - r for r in rho)
             den = _check_denominator(
-                _prod(al[j] - al[k] for k in range(n - 1) if k != j),
+                math.prod(al[j] - al[k] for k in range(n - 1) if k != j),
                 "type I L")
             a[n - 1, j] = -num / den
     elif kind == "I*":
@@ -273,16 +267,16 @@ def canonical_system(spec: YokoyamaSpec) -> OkuboSystem:
         a[n:, n:] = np.diag(be)
         for i in range(n):
             for j in range(n):
-                num = (be[j] - rho1) * _prod(
+                num = (be[j] - rho1) * math.prod(
                     al[k] + be[j] - rho1 - rho2 for k in range(n) if k != i)
                 den = _check_denominator(
-                    _prod(be[j] - be[k] for k in range(n) if k != j),
+                    math.prod(be[j] - be[k] for k in range(n) if k != j),
                     "type II K")
                 a[i, n + j] = num / den
-                num = (al[j] - rho1) * _prod(
+                num = (al[j] - rho1) * math.prod(
                     al[j] + be[k] - rho1 - rho2 for k in range(n) if k != i)
                 den = _check_denominator(
-                    _prod(al[j] - al[k] for k in range(n) if k != j),
+                    math.prod(al[j] - al[k] for k in range(n) if k != j),
                     "type II L")
                 a[n + i, j] = num / den
     else:  # III
@@ -293,18 +287,18 @@ def canonical_system(spec: YokoyamaSpec) -> OkuboSystem:
         a[m:, m:] = np.diag(be)
         for i in range(m):
             for j in range(n):
-                num = _prod(al[k] + be[j] - rho1 - rho2
-                            for k in range(m) if k != i)
+                num = math.prod(al[k] + be[j] - rho1 - rho2
+                                for k in range(m) if k != i)
                 den = _check_denominator(
-                    _prod(be[j] - be[k] for k in range(n) if k != j),
+                    math.prod(be[j] - be[k] for k in range(n) if k != j),
                     "type III K")
                 a[i, m + j] = num / den
         for i in range(n):
             for j in range(m):
-                num = (al[j] - rho1) * (al[j] - rho2) * _prod(
+                num = (al[j] - rho1) * (al[j] - rho2) * math.prod(
                     al[j] + be[k] - rho1 - rho2 for k in range(n) if k != i)
                 den = _check_denominator(
-                    _prod(al[j] - al[k] for k in range(m) if k != j),
+                    math.prod(al[j] - al[k] for k in range(m) if k != j),
                     "type III L")
                 a[m + i, j] = num / den
     return OkuboSystem(blocks=spec.blocks, points=spec.points, A=a)
@@ -318,10 +312,10 @@ def haraoka_gauge(spec: YokoyamaSpec) -> np.ndarray:
     al, be = spec.alpha, spec.beta
     m = len(al)
     a = [(1.0 / _check_denominator(
-        _prod(al[i] - al[k] for k in range(m) if k != i), "a_i"))
+        math.prod(al[i] - al[k] for k in range(m) if k != i), "a_i"))
         for i in range(m)]
     b = [(1.0 / _check_denominator(
-        _prod(be[i] - be[k] for k in range(len(be)) if k != i), "b_i"))
+        math.prod(be[i] - be[k] for k in range(len(be)) if k != i), "b_i"))
         for i in range(len(be))]
     return np.diag(np.array(a + b, dtype=complex))
 
@@ -343,9 +337,9 @@ def xieta_closed_form(spec: YokoyamaSpec, rho=None):
         if rho is None:
             raise ShapeError("type I needs the step parameter rho")
         rho = complex(rho)
-        num = _prod(rho - r for r in spec.rho)
+        num = math.prod(rho - r for r in spec.rho)
         den = _check_denominator(
-            _prod(rho - a for a in al[:n - 1]), "type I xi")
+            math.prod(rho - a for a in al[:n - 1]), "type I xi")
         xi = np.array([[-num / den]], dtype=complex)
         eta = np.array([[1.0]], dtype=complex)
         return xi, eta
@@ -355,13 +349,13 @@ def xieta_closed_form(spec: YokoyamaSpec, rho=None):
         xi = np.empty((n, 1), dtype=complex)
         eta = np.empty((1, n), dtype=complex)
         for i in range(n):
-            num = (rho2 - rho1) * _prod(be[k] - rho1 for k in range(n) if k != i)
+            num = (rho2 - rho1) * math.prod(be[k] - rho1 for k in range(n) if k != i)
             den = _check_denominator(
-                _prod(rho2 - a for a in al), "type II xi")
+                math.prod(rho2 - a for a in al), "type II xi")
             xi[i, 0] = num / den
-            num = _prod(be[i] + a - rho1 - rho2 for a in al)
+            num = math.prod(be[i] + a - rho1 - rho2 for a in al)
             den = _check_denominator(
-                _prod(be[i] - be[k] for k in range(n) if k != i), "type II eta")
+                math.prod(be[i] - be[k] for k in range(n) if k != i), "type II eta")
             eta[0, i] = num / den
         return xi, eta
     if kind == "III":
@@ -371,13 +365,13 @@ def xieta_closed_form(spec: YokoyamaSpec, rho=None):
         xi = np.empty((m, 1), dtype=complex)
         eta = np.empty((1, m), dtype=complex)
         for i in range(m):
-            num = _prod(al[k] - rho1 for k in range(m) if k != i)
+            num = math.prod(al[k] - rho1 for k in range(m) if k != i)
             den = _check_denominator(
-                _prod(rho2 - b for b in be), "type III xi")
+                math.prod(rho2 - b for b in be), "type III xi")
             xi[i, 0] = num / den
-            num = (al[i] - rho2) * _prod(b + al[i] - rho1 - rho2 for b in be)
+            num = (al[i] - rho2) * math.prod(b + al[i] - rho1 - rho2 for b in be)
             den = _check_denominator(
-                _prod(al[i] - al[k] for k in range(m) if k != i), "type III eta")
+                math.prod(al[i] - al[k] for k in range(m) if k != i), "type III eta")
             eta[0, i] = num / den
         return xi, eta
     raise ShapeError("no rank-complement lemma for type I*")

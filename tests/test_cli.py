@@ -195,6 +195,44 @@ def test_verify_float_floor_tolerance(tmp_path):
     assert all("residual" in c for c in rep["checks"])
 
 
+INPUT_COMMANDS = [
+    ["verify", "--type", "II", "--n", "2", "--input", "{path}"],
+    ["mc", "{path}", "--mu", "0.3"],
+    ["monodromy", "--input", "{path}"],
+]
+
+
+def _run_on_input(tmp_path, command, content):
+    path = tmp_path / "in.json"
+    if content is not None:
+        path.write_text(content)
+    argv = [str(path) if a == "{path}" else a for a in command]
+    return path, run(argv + ["-o", str(tmp_path / "out.json")])
+
+
+@pytest.mark.parametrize("command", INPUT_COMMANDS)
+@pytest.mark.parametrize("content,reason", [
+    (None, "No such file or directory"),
+    ('{"A": 1}', "missing key 'blocks'"),
+    ("not json", "Expecting value"),
+    ('{"blocks": [1], "points": [[0, 0]], "A": 1}', ""),
+])
+def test_unreadable_input_is_usage_error(tmp_path, capsys, command, content,
+                                         reason):
+    path, code = _run_on_input(tmp_path, command, content)
+    assert code == 2
+    assert f"error: cannot read {path}: {reason}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", INPUT_COMMANDS)
+def test_invalid_input_system_is_precondition_error(tmp_path, command):
+    # well-formed schema, but the system fails validation (repeated point)
+    payload = {"blocks": [1, 1], "points": [[0, 0], [0, 0]],
+               "A": {"rows": 2, "cols": 2, "data": [[0.1, 0.2]] * 4}}
+    _, code = _run_on_input(tmp_path, command, json.dumps(payload))
+    assert code == 3
+
+
 def test_connection_recurrence_rejected_for_istar(tmp_path):
     code = run(["connection", "--type", "I*", "--n", "3", "--seed", "13",
                 "--method", "recurrence", "-o", str(tmp_path / "c.json")])

@@ -72,8 +72,6 @@ def test_initial_data_normalizations():
                * gamma_c(-b1) * gamma_c(a1 + 1)
                / (gamma_c(a1 - r1) * gamma_c(a1 - r2)))
     assert abs(seed["D1"] - disp_d1) < 1e-13 * abs(disp_d1)
-    lit = initial_connection(a1, b1, r1, cfg, variant="literal")
-    assert abs(lit["C1"] + seed["C1"]) < 1e-13 * abs(seed["C1"])
 
 
 def test_seed_product_invariant_under_point_rescaling():
@@ -211,8 +209,8 @@ def test_recurrence_degenerate_parameter():
                             conn={(0, 1): c_mat, (1, 0): d_mat}, cfg=cfg)
     c = 0.17 - 0.23j
     out = recurrence_step(state, 1, c, -c)
-    col = np.array([gamma_ratio(a + c, a + c) for a in a1])   # = 1
-    want = c_mat * np.array([gamma_ratio(a1[0] + c, a1[0] + c)])
+    col = np.array([gamma_ratio([a + c], [a + c]) for a in a1])   # = 1
+    want = c_mat * np.array([gamma_ratio([a1[0] + c], [a1[0] + c])])
     assert np.max(np.abs(out.conn[(0, 1)][:, :1] - c_mat)) < 1e-12
     assert np.max(np.abs(out.conn[(1, 0)][:1, :] - d_mat)) < 1e-12
     assert np.max(np.abs(out.exponents[0] - a0)) < 1e-15
@@ -326,7 +324,7 @@ def test_regularized_beta_r_gauge_identity():
         s = rho + c
         half = e_of(s / 2) if i < k else e_of(-s / 2)
         fac = (branch_power(i, k, s, cfg) * half
-               * gamma_ratio(s - a_i, -a_i) * gamma_ratio(a_k - rho, a_k + c))
+               * gamma_ratio([s - a_i], [-a_i]) * gamma_ratio([a_k - rho], [a_k + c]))
         bt = lambda a, b: complex(regularized_beta(np.array([[a]]), b)[0, 0])
         power = branch_power(i, k, s, cfg) * (1.0 if i < k else e_of(-s))
         r_i = a_i * power * bt(a_i, 1 - s) / (e_of(a_i) - 1)
