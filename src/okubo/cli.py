@@ -18,6 +18,7 @@ from . import core
 from .core import (
     GenericityError,
     OkuboError,
+    ShapeError,
     default_config,
     e_of,
     matrix_to_json,
@@ -108,6 +109,17 @@ def _read_input(path, parse):
     raise argparse.ArgumentTypeError(f"cannot read {path}: {reason}")
 
 
+def _input_system(path, spec):
+    """The Okubo system read from ``path``; with a spec, its block sizes
+    must be the spec's (a mismatch is a precondition error, exit 3)."""
+    sysm = _read_input(path, okubo_from_json)
+    if spec is not None and sysm.blocks.sizes != spec.blocks.sizes:
+        raise ShapeError(f"input system has blocks {sysm.blocks.sizes}, but "
+                         f"type {spec.kind} n={spec.n} has blocks "
+                         f"{spec.blocks.sizes}")
+    return sysm
+
+
 def _okubo_or_schlesinger(data):
     # the Okubo schema has "A", the Schlesinger one "residues"
     if "A" in data:
@@ -193,11 +205,9 @@ def cmd_connection(args) -> int:
     spec = _spec_from_args(args)
     cfg = default_config(spec.points)
     if args.method == "recurrence":
-        if spec.kind == "I*":
-            raise GenericityError("type I* connection has no recurrence chain")
         conn = recurrence_connection(spec, cfg)
     else:
-        conn = closed_form_connection(spec, cfg, istar_sign=args.istar_sign)
+        conn = closed_form_connection(spec, cfg)
     mon = assemble_monodromy(conn, spec)
     payload = _conn_payload(spec, conn, mon)
     residuals = {}
@@ -220,8 +230,8 @@ def cmd_monodromy(args) -> int:
     payload = {}
     tol = args.tol
     if args.input:
-        sysm = _read_input(args.input, okubo_from_json)
         spec = _spec_from_args(args) if args.type else None
+        sysm = _input_system(args.input, spec)
     elif args.type:
         spec = _spec_from_args(args)
         sysm = canonical_system(spec)
@@ -235,7 +245,7 @@ def cmd_monodromy(args) -> int:
     if args.closed_form:
         if spec is None:
             raise GenericityError("--closed-form needs spec flags, not a file")
-        conn = closed_form_connection(spec, cfg, istar_sign=args.istar_sign)
+        conn = closed_form_connection(spec, cfg)
         mon_cf = assemble_monodromy(conn, spec)
         payload["closed_form"] = [matrix_to_json(m) for m in mon_cf.matrices]
     if mon_num is not None and mon_cf is not None:
@@ -277,14 +287,14 @@ def cmd_verify(args) -> int:
     tol = args.tol
     checks = []
     canon = canonical_system(spec)
-    sysm = _read_input(args.input, okubo_from_json) if args.input else canon
+    sysm = _input_system(args.input, spec) if args.input else canon
 
     chain_sys, _ = katz_chain(spec)
     scale = max(1.0, float(np.max(np.abs(canon.A))))
     checks.append(Check("chain_equals_canonical",
                         float(np.max(np.abs(chain_sys.A - canon.A))) / scale,
                         max(tol, 1e-8)))
-    conn = closed_form_connection(spec, cfg, istar_sign=args.istar_sign)
+    conn = closed_form_connection(spec, cfg)
     mon_cf = assemble_monodromy(conn, spec)
     mon_num = numeric_monodromy(sysm, cfg)
     err = max(float(np.max(np.abs(a - b)))
@@ -348,8 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_flags(p)
     p.add_argument("--method", choices=("closed-form", "recurrence"),
                    default="closed-form")
-    p.add_argument("--istar-sign", choices=("theorem", "derivation"),
-                   default="theorem")
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=cmd_connection)
 
@@ -364,8 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="system JSON (numeric route only)")
     p.add_argument("--closed-form", action="store_true")
     p.add_argument("--numeric", action="store_true")
-    p.add_argument("--istar-sign", choices=("theorem", "derivation"),
-                   default="theorem")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=cmd_monodromy)
@@ -381,8 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the verification suite for a spec")
     _add_spec_flags(p)
     p.add_argument("--input", help="verify this system JSON against the spec")
-    p.add_argument("--istar-sign", choices=("theorem", "derivation"),
-                   default="theorem")
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("-o", "--output", default="verify-report.json")
     p.set_defaults(func=cmd_verify)

@@ -44,7 +44,6 @@ class ConnectionData:
 
     matrices: dict
     config: PathConfig
-    blocks: tuple = ()
 
     def __getitem__(self, kj):
         return self.matrices[kj]
@@ -102,7 +101,7 @@ def _connection_type_I(spec, cfg):
                    * gamma_ratio([1 + aj, -an]
                                  + [aj - al[k] for k in range(n - 1) if k != j],
                                  [aj - r for r in rho]))
-    return ConnectionData({(0, 1): c, (1, 0): d}, cfg, spec.blocks.sizes)
+    return ConnectionData({(0, 1): c, (1, 0): d}, cfg)
 
 
 def _connection_type_Istar(spec, cfg, istar_sign):
@@ -126,7 +125,7 @@ def _connection_type_Istar(spec, cfg, istar_sign):
                    * gamma_ratio([-al[i], al[j] + 1],
                                  [al[j] - r1, 1 + r1 - al[i]]))
             mats[(i, j)] = np.array([[val]], dtype=complex)
-    return ConnectionData(mats, cfg, spec.blocks.sizes)
+    return ConnectionData(mats, cfg)
 
 
 def _connection_type_II_III(spec, cfg):
@@ -174,7 +173,7 @@ def _connection_type_II_III(spec, cfg):
                            + [aj + be[k] - r1 - r2 for k in range(n) if k != i]
                            + [1 + r1 + r2 - al[k] - bi
                               for k in range(m) if k != j]))
-    return ConnectionData({(0, 1): c, (1, 0): d}, cfg, spec.blocks.sizes)
+    return ConnectionData({(0, 1): c, (1, 0): d}, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -267,80 +266,43 @@ def okubo_determinant(spec: YokoyamaSpec, x, cfg: PathConfig | None = None) -> c
 
 @dataclass
 class RecurrenceState:
-    """Connection matrices plus the diagonal local exponents carried along a
-    construction chain.  Exponents are per block, in block order."""
+    """The leading entries C = C^(01)_11 and D = C^(10)_11 plus the leading
+    local exponent of each of the two blocks, carried along a construction
+    chain; no step moves either entry off position (1, 1)."""
 
-    exponents: list            # list of complex 1-d arrays
-    conn: dict                 # (i, j) -> matrix (may contain NaN marks)
+    exponents: tuple           # (leading exponent of block 0, of block 1)
+    c: complex
+    d: complex
     cfg: PathConfig
-
-    def copy(self):
-        return RecurrenceState(
-            exponents=[np.array(e) for e in self.exponents],
-            conn={k: np.array(v) for k, v in self.conn.items()},
-            cfg=self.cfg,
-        )
 
 
 def recurrence_step(state: RecurrenceState, k: int, c, rho) -> RecurrenceState:
     """One mc-with-additions step at block k with parameters (c, rho).
 
-    Transports every C_(ij) with i, j != k and the (k1)-indexed families by
-    the gamma-product recurrences; the new (k2) row and column cannot be
-    written as gamma products and are returned as NaN (symmetry fills them).
+    Transports C and D by the gamma-product recurrences: C^(ok) along its
+    column and C^(ko) along its row, o being the other block.  Block k keeps
+    its leading exponent; those of block o shift by -(rho + c).
     """
     c, rho = complex(c), complex(rho)
     cfg = state.cfg
     s = rho + c
-    r = len(state.exponents)
-    exps = state.exponents
-    bp = lambda i, j, x: branch_power(i, j, x, cfg)
-
-    def left(i, vec):
-        return np.array([gamma_ratio([s - a], [-a]) for a in vec])
-
-    def right_j(vec):
-        return np.array([gamma_ratio([a - s + 1], [a + 1]) for a in vec])
-
-    new_conn = {}
-    for (i, j), mat in state.conn.items():
-        if i == k or j == k:
-            continue
-        half = e_of(-s / 2) if j < i else e_of(s / 2)
-        fac = bp(i, k, s) / bp(j, k, s) * half
-        new_conn[(i, j)] = (fac * left(i, exps[i])[:, None] * mat
-                            * right_j(exps[j])[None, :])
-    for (i, j), mat in state.conn.items():
-        if j == k and i != k:
-            half = e_of(s / 2) if i < k else e_of(-s / 2)
-            fac = bp(i, k, s) * half
-            col = np.array([gamma_ratio([a - rho], [a + c]) for a in exps[k]])
-            old = fac * left(i, exps[i])[:, None] * mat * col[None, :]
-            new = np.full((len(exps[i]), len(exps[k]) + 1), np.nan,
-                          dtype=complex)
-            new[:, :len(exps[k])] = old
-            new_conn[(i, k)] = new
-        elif i == k and j != k:
-            # sign pinned against the numeric monodromy: a leading minus in
-            # this transport would make the chains alternate against the
-            # verified closed forms
-            half = e_of(-s / 2) if j < k else e_of(s / 2)
-            fac = bp(j, k, -s) * half
-            row = np.array([gamma_ratio([1 + rho - a], [1 - a - c])
-                            for a in exps[k]])
-            old = fac * row[:, None] * mat * right_j(exps[j])[None, :]
-            new = np.full((len(exps[k]) + 1, len(exps[j])), np.nan,
-                          dtype=complex)
-            new[:len(exps[k]), :] = old
-            new_conn[(k, j)] = new
-
-    new_exps = []
-    for i in range(r):
-        if i == k:
-            new_exps.append(np.concatenate([exps[k], [rho]]))
-        else:
-            new_exps.append(exps[i] - s)
-    return RecurrenceState(exponents=new_exps, conn=new_conn, cfg=cfg)
+    o = 1 - k
+    ao, ak = state.exponents[o], state.exponents[k]
+    x_ok, x_ko = (state.c, state.d) if k == 1 else (state.d, state.c)
+    half = e_of(s / 2) if o < k else e_of(-s / 2)
+    fac = branch_power(o, k, s, cfg) * half
+    col = (fac * gamma_ratio([s - ao], [-ao]) * x_ok
+           * gamma_ratio([ak - rho], [ak + c]))
+    # sign pinned against the numeric monodromy: a leading minus in this
+    # transport would make the chains alternate against the verified closed
+    # forms
+    half = e_of(-s / 2) if o < k else e_of(s / 2)
+    fac = branch_power(o, k, -s, cfg) * half
+    row = (fac * gamma_ratio([1 + rho - ak], [1 - ak - c]) * x_ko
+           * gamma_ratio([ao - s + 1], [ao + 1]))
+    if k == 1:
+        return RecurrenceState((ao - s, ak), col, row, cfg)
+    return RecurrenceState((ak, ao - s), row, col, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -366,27 +328,19 @@ def initial_connection(alpha1, alpha2, rho1, cfg: PathConfig) -> dict:
 
 def chain_connection(spec: YokoyamaSpec, cfg: PathConfig | None = None) -> RecurrenceState:
     """Transport the rank-2 initial data along the construction chain of the
-    spec; entries the recurrences cannot reach stay NaN."""
+    spec to its leading entries C and D."""
     from .yokoyama import _descend
 
     if cfg is None:
         cfg = default_config(spec.points)
-    if spec.kind == "I*":
-        raise ShapeError("type I* has no recurrence chain")
     chain = _descend(spec)
     base = chain[0]["spec"]
     if base.kind == "I":
-        seed = initial_connection(base.alpha[0], base.alpha[1], base.rho[0], cfg)
-        c0 = np.array([[seed["C1"]]])
-        d0 = np.array([[seed["D1"]]])
-        exps = [np.array([base.alpha[0]]), np.array([base.alpha[1]])]
+        a1, a2, keys = base.alpha[0], base.alpha[1], ("C1", "D1")
     else:
-        seed = initial_connection(base.alpha[0], base.beta[0], base.rho[0], cfg)
-        c0 = np.array([[seed["C11"]]])
-        d0 = np.array([[seed["D11"]]])
-        exps = [np.array([base.alpha[0]]), np.array([base.beta[0]])]
-    state = RecurrenceState(exponents=exps, conn={(0, 1): c0, (1, 0): d0},
-                            cfg=cfg)
+        a1, a2, keys = base.alpha[0], base.beta[0], ("C11", "D11")
+    seed = initial_connection(a1, a2, base.rho[0], cfg)
+    state = RecurrenceState((a1, a2), seed[keys[0]], seed[keys[1]], cfg)
     for entry in chain[1:]:
         state = recurrence_step(state, entry["k"], entry["c"], entry["rho"])
     return state
@@ -394,48 +348,27 @@ def chain_connection(spec: YokoyamaSpec, cfg: PathConfig | None = None) -> Recur
 
 def recurrence_connection(spec: YokoyamaSpec,
                           cfg: PathConfig | None = None) -> ConnectionData:
-    """All connection matrices from the recurrences plus symmetry: the
-    (i, j) entry is the leading entry of the chain run on the spec with
-    exponent 1 <-> i (and 1 <-> j) exchanged."""
+    """All connection matrices from the recurrences plus symmetry."""
+    if spec.kind == "I*":
+        raise ShapeError("type I* has no recurrence chain")
+    return symmetry_extend(spec, cfg)
+
+
+def symmetry_extend(spec: YokoyamaSpec,
+                    cfg: PathConfig | None = None) -> ConnectionData:
+    """Fill entry (i, j) of C (and (j, i) of D) with the leading entries of
+    the chain run on the spec with exponents 1 <-> i (and 1 <-> j)
+    exchanged: the permutation-matrix symmetry of the canonical forms."""
     if cfg is None:
         cfg = default_config(spec.points)
-    state = chain_connection(spec, cfg)
-    conn = ConnectionData(state.conn, cfg, spec.blocks.sizes)
-    return symmetry_extend(conn, spec, cfg)
-
-
-def symmetry_extend(conn: ConnectionData, spec: YokoyamaSpec,
-                    cfg: PathConfig | None = None) -> ConnectionData:
-    """Fill every entry by re-evaluating the index-1 recurrence chain with
-    exponents swapped (the permutation-matrix symmetry of the canonical
-    forms); entries the chain reached directly are kept verbatim."""
-    if cfg is None:
-        cfg = conn.config
-    kind = spec.kind
-    if kind == "I*":
-        raise ShapeError("type I* connection comes from its closed form")
-    blocks = spec.blocks.sizes
-    c_shape = (blocks[0], blocks[1])
-    d_shape = (blocks[1], blocks[0])
-    c = np.full(c_shape, np.nan, dtype=complex)
-    d = np.full(d_shape, np.nan, dtype=complex)
-    if kind == "I":
-        for i in range(c_shape[0]):
+    rows, cols = spec.blocks.sizes[0], spec.blocks.sizes[1]
+    c = np.empty((rows, cols), dtype=complex)
+    d = np.empty((cols, rows), dtype=complex)
+    for i in range(rows):
+        for j in range(cols):
             sw = swap_spec(spec, "alpha", 0, i)
+            if spec.beta:      # types II and III
+                sw = swap_spec(sw, "beta", 0, j)
             st = chain_connection(sw, cfg)
-            c[i, 0] = st.conn[(0, 1)][0, 0]
-            d[0, i] = st.conn[(1, 0)][0, 0]
-    else:
-        for i in range(c_shape[0]):
-            for j in range(c_shape[1]):
-                sw = swap_spec(swap_spec(spec, "alpha", 0, i), "beta", 0, j)
-                st = chain_connection(sw, cfg)
-                c[i, j] = st.conn[(0, 1)][0, 0]
-                d[j, i] = st.conn[(1, 0)][0, 0]
-    existing = conn.matrices
-    for key, new in (((0, 1), c), ((1, 0), d)):
-        old = existing.get(key)
-        if old is not None and old.shape == new.shape:
-            mask = ~np.isnan(old)
-            new[mask] = old[mask]
-    return ConnectionData({(0, 1): c, (1, 0): d}, cfg, blocks)
+            c[i, j], d[j, i] = st.c, st.d
+    return ConnectionData({(0, 1): c, (1, 0): d}, cfg)

@@ -42,7 +42,6 @@ class ReductionWitness:
     parameter: complex                 # mu (additive) or lambda (multiplicative)
     factors_p: list = field(default_factory=list)   # per-point P_k
     factors_q: list = field(default_factory=list)   # per-point Q_k
-    factors_s: list = field(default_factory=list)   # per-point right inverses
     ranks: list = field(default_factory=list)       # n_k = rank of A_k / M_k - 1
     p0: np.ndarray | None = None
     q0: np.ndarray | None = None
@@ -207,8 +206,6 @@ def middle_convolution_system(sys: SchlesingerSystem, mu, tol: float = FACTOR_TO
     ps, qs, ranks = _factor_residues(sys, tol)
     w = ReductionWitness(parameter=mu, factors_p=ps, factors_q=qs,
                          ranks=ranks, tol=tol)
-    w.factors_s = [right_inverse(q) if r > 0 else np.zeros((sys.n, 0), complex)
-                   for q, r in zip(qs, ranks)]
     conv = convolve_system(sys, mu)
     ksys = k_reduce_system(conv, w)
     lsys, (p0, q0, s0, m) = l_reduce_system(ksys, mu, tol)
@@ -250,15 +247,14 @@ def middle_convolution_monodromy(mon: MonodromyTuple, lam, tol: float = FACTOR_T
         raise ZeroScalar("convolution parameter must be nonzero")
     n, r = mon.n, mon.r
     eye = np.eye(n, dtype=complex)
-    ps, qs, ss, ranks = [], [], [], []
+    ps, qs, ranks = [], [], []
     for m in mon.matrices:
         p, q, rk = rank_factorization(m - eye, tol)
         ps.append(p)
         qs.append(q)
-        ss.append(right_inverse(q) if rk > 0 else np.zeros((n, 0), complex))
         ranks.append(rk)
     w = ReductionWitness(parameter=lam, factors_p=ps, factors_q=qs,
-                         factors_s=ss, ranks=ranks, tol=tol)
+                         ranks=ranks, tol=tol)
     keep = [i for i in range(r) if ranks[i] > 0]
     nt = sum(ranks)
     offs = np.concatenate([[0], np.cumsum([ranks[i] for i in keep])])
@@ -381,10 +377,16 @@ def mc_add_system(sys: OkuboSystem, k: int, c, rho, xi_eta=None,
     if not 0 <= k < r:
         raise ShapeError(f"block index k={k} out of range")
     scale = max(1.0, matrix_scale(a))
-    ak_shift = sys.residue(k) + c * np.eye(n)
-    if np.linalg.svd(ak_shift, compute_uv=False)[-1] <= tol * scale:
-        raise KernelError("Ker(A_k + c) != 0")
     akk = sys.block(k, k)
+    # A_k is zero outside block row k, so det(A_k + c) = c^(n - n_k)
+    # det(A_kk + c): the kernel is trivial iff c != 0 and -c is no
+    # eigenvalue of A_kk
+    bound = tol * max(1.0, matrix_scale(akk))
+    eig_gap = float(np.min(np.abs(np.linalg.eigvals(akk) + c)))
+    for name, gap in (("|c|", abs(c)), ("min|eig(A_kk) + c|", eig_gap)):
+        if gap <= bound:
+            raise KernelError(f"Ker(A_k + c) != 0: {name} = {gap:.3e} "
+                              f"<= {bound:.3e}")
     if np.linalg.svd(akk - rho * np.eye(blocks.sizes[k]),
                      compute_uv=False)[-1] <= tol * scale:
         raise KernelError("Ker(A_kk - rho) != 0")

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from okubo.cli import main, parse_complex, parse_complex_list
-from okubo.core import load_json, matrix_from_json, okubo_from_json
+from okubo.core import (load_json, matrix_from_json, okubo_from_json,
+                        okubo_to_json)
 from okubo.yokoyama import sample_spec, canonical_system
 
 
@@ -231,6 +232,20 @@ def test_invalid_input_system_is_precondition_error(tmp_path, command):
                "A": {"rows": 2, "cols": 2, "data": [[0.1, 0.2]] * 4}}
     _, code = _run_on_input(tmp_path, command, json.dumps(payload))
     assert code == 3
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--type", "II", "--n", "2", "--input", "{path}"],
+    ["monodromy", "--type", "II", "--n", "2", "--input", "{path}",
+     "--closed-form", "--numeric"],
+])
+def test_input_of_wrong_size_is_precondition_error(tmp_path, capsys, command):
+    # an I n=3 system (blocks (2, 1)) against a II n=2 spec (blocks (2, 2))
+    sysm = canonical_system(sample_spec("I", 3, np.random.default_rng(5)))
+    _, code = _run_on_input(tmp_path, command, json.dumps(okubo_to_json(sysm)))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "(2, 1)" in err and "(2, 2)" in err
 
 
 def test_connection_recurrence_rejected_for_istar(tmp_path):

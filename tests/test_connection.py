@@ -198,23 +198,37 @@ def test_block_determinant_identity():
 # recurrence engine
 
 def test_recurrence_degenerate_parameter():
-    # rho + c = 0: pure diagonal rescale by Gamma(a_k - rho)/Gamma(a_k + c)
+    # rho + c = 0: every transport factor is exactly 1
     cfg = default_config((0.0, 1.0))
-    rng = np.random.default_rng(9)
-    a0 = np.array([0.21 + 0.31j, -0.15 + 0.44j])
-    a1 = np.array([0.05 + 0.52j])
-    c_mat = (rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1)))
-    d_mat = (rng.standard_normal((1, 2)) + 1j * rng.standard_normal((1, 2)))
-    state = RecurrenceState(exponents=[a0, a1],
-                            conn={(0, 1): c_mat, (1, 0): d_mat}, cfg=cfg)
+    state = RecurrenceState(exponents=(0.21 + 0.31j, 0.05 + 0.52j),
+                            c=0.3 - 1.1j, d=-0.7 + 0.4j, cfg=cfg)
     c = 0.17 - 0.23j
-    out = recurrence_step(state, 1, c, -c)
-    col = np.array([gamma_ratio([a + c], [a + c]) for a in a1])   # = 1
-    want = c_mat * np.array([gamma_ratio([a1[0] + c], [a1[0] + c])])
-    assert np.max(np.abs(out.conn[(0, 1)][:, :1] - c_mat)) < 1e-12
-    assert np.max(np.abs(out.conn[(1, 0)][:1, :] - d_mat)) < 1e-12
-    assert np.max(np.abs(out.exponents[0] - a0)) < 1e-15
-    assert np.isnan(out.conn[(0, 1)][0, 1].real)
+    for k in (0, 1):
+        out = recurrence_step(state, k, c, -c)
+        assert (out.c, out.d) == (state.c, state.d)
+        assert out.exponents == state.exponents
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_recurrence_step_column_transport(k):
+    # the (i, k) entry picks up (t_i - t_k)^s e(+-s/2)
+    # Gamma(s - a_i)/Gamma(-a_i) Gamma(a_k - rho)/Gamma(a_k + c), s = rho + c
+    cfg = default_config((0.0, 1.0))
+    state = RecurrenceState(exponents=(0.21 + 0.31j, 0.05 + 0.52j),
+                            c=0.3 - 1.1j, d=-0.7 + 0.4j, cfg=cfg)
+    c, rho = 0.17 - 0.23j, -0.31 + 0.12j
+    s = rho + c
+    i = 1 - k
+    a_i, a_k = state.exponents[i], state.exponents[k]
+    out = recurrence_step(state, k, c, rho)
+    old, new = (state.c, out.c) if k == 1 else (state.d, out.d)
+    half = e_of(s / 2) if i < k else e_of(-s / 2)
+    want = (old * branch_power(i, k, s, cfg) * half
+            * gamma_c(s - a_i) / gamma_c(-a_i)
+            * gamma_c(a_k - rho) / gamma_c(a_k + c))
+    assert abs(new - want) < 1e-12 * abs(want)
+    assert out.exponents[k] == a_k
+    assert out.exponents[i] == a_i - s
 
 
 @pytest.mark.parametrize("kind,n", [("I", 3), ("I", 4), ("II", 2), ("II", 3),
@@ -229,28 +243,24 @@ def test_recurrence_chain_matches_closed_form(kind, n):
 
 
 def test_chain_covered_entries_match_before_symmetry():
-    # the (k1)-families reached by the recurrences agree with the closed form
+    # the leading entries reached by the recurrences agree with the closed form
     spec = sample_spec("II", 2, np.random.default_rng(11))
     cfg = default_config(spec.points)
     st = chain_connection(spec, cfg)
     cf = closed_form_connection(spec, cfg)
-    c = st.conn[(0, 1)]
-    mask = ~np.isnan(c)
-    assert mask.any()
-    assert np.max(np.abs((c - cf.c)[mask])) < 1e-10 * np.max(np.abs(cf.c))
+    assert abs(st.c - cf.c[0, 0]) < 1e-10 * np.max(np.abs(cf.c))
+    assert abs(st.d - cf.d[0, 0]) < 1e-10 * np.max(np.abs(cf.d))
 
 
 def test_symmetry_extend_fills_and_matches():
     spec = sample_spec("III", 2, np.random.default_rng(12))
     cfg = default_config(spec.points)
-    st = chain_connection(spec, cfg)
-    from okubo.connection import ConnectionData
-    partial = ConnectionData(st.conn, cfg)
-    full = symmetry_extend(partial, spec, cfg)
+    full = symmetry_extend(spec, cfg)
     cf = closed_form_connection(spec, cfg)
+    assert full.c.shape == cf.c.shape and full.d.shape == cf.d.shape
     assert rel_err(full.c, cf.c) < 1e-10
     assert rel_err(full.d, cf.d) < 1e-10
-    assert not np.isnan(full.c).any()
+    assert np.isfinite(full.c).all() and np.isfinite(full.d).all()
 
 
 def test_symmetry_extend_index1_unchanged():
@@ -258,7 +268,7 @@ def test_symmetry_extend_index1_unchanged():
     cfg = default_config(spec.points)
     rec = recurrence_connection(spec, cfg)
     st = chain_connection(spec, cfg)
-    assert abs(rec.c[0, 0] - st.conn[(0, 1)][0, 0]) < 1e-14
+    assert (rec.c[0, 0], rec.d[0, 0]) == (st.c, st.d)
 
 
 # ---------------------------------------------------------------------------

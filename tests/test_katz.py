@@ -29,6 +29,7 @@ from okubo.katz import (
 )
 from okubo.yokoyama import (
     canonical_system,
+    katz_chain,
     sample_spec,
     xieta_closed_form,
 )
@@ -348,6 +349,19 @@ def test_mc_add_kernel_preconditions():
         mc_add_system(sysm, 0, 0.0, 0.37 + 0.1j)        # c = 0 kills Ker(A_k+c)
     with pytest.raises(KernelError):
         mc_add_system(sysm, 0, 0.5, spec.alpha[0])      # rho hits an eigenvalue
+    with pytest.raises(KernelError):
+        mc_add_system(sysm, 0, -spec.alpha[0], 0.37 + 0.1j)   # -c = alpha_1
+
+
+def test_mc_add_kernel_guard_ignores_non_normality():
+    # the last step (rank 12 -> 13) has sigma_min(A_k + c) ~ 1.6e-5, far
+    # below its eigenvalue gap min|eig(A_kk) + c| ~ 0.48 and |c| ~ 0.50;
+    # Ker(A_k + c) is trivial, so the chain must go through
+    spec = sample_spec("III", 6, np.random.default_rng(35))
+    chain_sys, _ = katz_chain(spec)
+    canon = canonical_system(spec)
+    scale = max(1.0, float(np.max(np.abs(canon.A))))
+    assert np.max(np.abs(chain_sys.A - canon.A)) / scale < 1e-8
 
 
 def test_mc_add_fuchs_preserved():
