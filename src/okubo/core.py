@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as _gamma
@@ -377,19 +377,8 @@ class PathConfig:
             if not self.radii[k] < 0.5 * dmin:
                 raise BranchError(f"loop radius r_{k} too large")
 
-    def scaled(self, rtol=None, series_tol=None, max_order=None) -> "PathConfig":
-        kw = {}
-        if rtol is not None:
-            kw["rtol"] = rtol
-            kw["atol"] = rtol * 1e-2
-        if series_tol is not None:
-            kw["series_tol"] = series_tol
-        if max_order is not None:
-            kw["max_order"] = max_order
-        return replace(self, **kw)
 
-
-def default_config(points, rtol: float = 1e-11) -> PathConfig:
+def default_config(points) -> PathConfig:
     """Standard configuration: p0 = mean(t_k) - i, radii = min-gap/4.
 
     Satisfies all PathConfig invariants whenever the t_k are real and
@@ -403,8 +392,9 @@ def default_config(points, rtol: float = 1e-11) -> PathConfig:
         others = [abs(t - s) for s in pts if s != t] + [abs(t - p0)]
         gaps.append(min(others))
     radii = [g / 4.0 for g in gaps]
+    # atol = rtol * 1e-2 as computed in floating point (not 1e-13)
     return PathConfig(points=tuple(pts), base_point=p0, thetas=tuple(thetas),
-                      radii=tuple(radii), rtol=rtol, atol=rtol * 1e-2)
+                      radii=tuple(radii), atol=1e-11 * 1e-2)
 
 
 def _arg_in_interval(z: complex, lo: float, hi: float) -> float:

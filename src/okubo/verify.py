@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 from scipy.integrate import solve_ivp
+from scipy.linalg.lapack import ztrsyl
 
 from .core import (
     MonodromyTuple,
@@ -39,81 +40,90 @@ class LocalSeries:
 
     k: int
     coeffs: list
-    radius: float      # distance to the nearest other singular point
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
 
-def frobenius_series(sys: OkuboSystem, k: int, order: int) -> LocalSeries:
-    """Recursively computed local series coefficients (exactly ``order`` of
-    them beyond F_0 = I).
+def frobenius_series(sys: OkuboSystem, k: int, order: int,
+                     series: LocalSeries | None = None) -> LocalSeries:
+    """Append ``order`` coefficients to ``series`` (a new series with
+    F_0 = I when None) and return it.
 
-    For each m, rows outside block k solve a diagonal-scaled linear system;
-    rows inside block k solve the Sylvester equation
-    X((m+1)I + A_k) - A_kk X = sum_{j != k} A_kj (F_{m+1})_j
-    by dense Kronecker linearization.  Raises ResonanceError if a solve is
-    singular at tolerance.
+    Rows outside block k solve D F_{m+1}((m+1) + A_k) = F_m(m + A_k) - A F_m
+    (D = T - t_k).  A_k is zero outside block row k, so block k splits into
+    a Sylvester equation for its own columns and a solve with (m+1) - A_kk
+    for the others, both triangular in one Schur basis A_kk = Q T Q^H
+    (Bartels-Stewart).  ResonanceError names the eigenvalues of A_kk that
+    make an order singular at tolerance.
     """
     n = sys.n
     a = sys.A
     sl_k = sys.blocks.block_slice(k)
-    nk = sys.blocks.sizes[k]
-    tk = sys.points[k]
-    d = sys.t_diag() - tk                     # diagonal of T - t_k
+    d = sys.t_diag() - sys.points[k]          # diagonal of T - t_k
     outside = np.abs(d) > 0
-    akk = sys.block(k, k)
     a_k = sys.residue(k)
     a_krows = a[sl_k, :]
-
-    eye_n = np.eye(n, dtype=complex)
-    eye_nk = np.eye(nk, dtype=complex)
-    coeffs = [eye_n.copy()]
-    radius = min(abs(t - tk) for t in sys.points if t != tk)
+    a_ko = a_krows[:, outside]
+    t, q = sla.schur(sys.block(k, k).astype(complex), output="complex")
+    qh = q.conj().T
+    lam = np.diag(t)
+    eye_k = np.eye(len(lam), dtype=complex)
+    # the three solves of order s are singular when s + shift = 0
+    pairs = [(li, lj) for li in lam for lj in lam]
+    shifts = np.array([lj - li for li, lj in pairs] + list(-lam) + list(lam))
+    culprits = pairs + [(li,) for li in lam] * 2
     scale = max(1.0, matrix_scale(a))
 
-    for m in range(order):
+    eye_n = np.eye(n, dtype=complex)
+    if series is None:
+        series = LocalSeries(k=k, coeffs=[eye_n.copy()])
+    coeffs = series.coeffs
+    for m in range(series.order, series.order + order):
+        s = m + 1
+        margins = np.abs(s + shifts)
+        j = int(np.argmin(margins))
+        if margins[j] <= 1e-10 * scale * s:
+            eigs = ", ".join(f"{x:.6g}" for x in culprits[j])
+            raise ResonanceError(
+                f"resonance at order m={s} for k={k}: eigenvalue(s) {eigs} "
+                f"of A_kk, margin {margins[j]:.3g}")
         f_m = coeffs[-1]
         rhs = f_m @ (m * eye_n + a_k) - a @ f_m
-        b = (m + 1) * eye_n + a_k
-        try:
-            b_inv = np.linalg.inv(b)
-        except np.linalg.LinAlgError as exc:
-            raise ResonanceError(f"(m+1)I + A_k singular at m={m}") from exc
+        b_inv = np.linalg.inv(s * eye_n + a_k)
         f_next = np.zeros_like(f_m)
         f_next[outside] = (rhs[outside] @ b_inv) / d[outside, None]
-        # block-k rows from the order-(m+1) relation
-        r2 = a_krows @ f_next
-        kmat = np.kron(b.T, eye_nk) - np.kron(eye_n, akk)
-        sv_min = np.linalg.svd(kmat, compute_uv=False)[-1]
-        if sv_min <= 1e-10 * scale * (m + 1):
-            raise ResonanceError(
-                f"resonant Sylvester solve at order m={m + 1} for k={k}")
-        x = np.linalg.solve(kmat, r2.flatten(order="F"))
-        f_next[sl_k, :] = x.reshape(nk, n, order="F")
+        # block-k rows Z = Q^H X in the Schur basis: Y = Z_k Q solves
+        # Y(s + T) - T Y = W_k Q, then (s - T) Z_o = W_o - Z_k A_ko
+        w = qh @ (a_krows @ f_next)
+        y, sc, _ = ztrsyl(-t, s * eye_k + t, w[:, sl_k] @ q)
+        z = np.empty_like(w)
+        z[:, sl_k] = (y / sc) @ qh
+        z[:, outside] = sla.solve_triangular(
+            s * eye_k - t, w[:, outside] - z[:, sl_k] @ a_ko)
+        f_next[sl_k, :] = q @ z
         coeffs.append(f_next)
-    return LocalSeries(k=k, coeffs=coeffs, radius=radius)
+    return series
 
 
 def adaptive_series(sys: OkuboSystem, k: int, r_eval: float,
                     tol: float = 1e-13, cap: int = 200) -> LocalSeries:
-    """Grow the series until the tail estimate at radius r_eval drops below
-    tol (three consecutive terms), hard cap per the design contract."""
+    """Grow the series in place, ``step`` orders at a time, until its last
+    three terms at radius r_eval are at most tol; StepFailure if that does
+    not happen within ``cap`` orders."""
     step = 12
-    series = frobenius_series(sys, k, step)
-    while series.order < cap:
+    series = frobenius_series(sys, k, min(step, cap))
+    while True:
         tails = [matrix_scale(c) * r_eval ** (series.order - i)
                  for i, c in enumerate(series.coeffs[-3:][::-1])]
         if all(t <= tol for t in tails):
             return series
-        extra = frobenius_series(sys, k, min(series.order + step, cap))
-        series = extra
-    tails = [matrix_scale(series.coeffs[-1]) * r_eval ** series.order]
-    if tails[0] > tol:
-        raise StepFailure(
-            f"series at t_{k} did not reach tol {tol} within {cap} terms")
-    return series
+        if series.order >= cap:
+            raise StepFailure(
+                f"series at t_{k} did not reach tol {tol} within {cap} "
+                f"terms: last three terms up to {max(tails):.3g}")
+        frobenius_series(sys, k, min(step, cap - series.order), series)
 
 
 def eval_local_block(sys: OkuboSystem, series: LocalSeries, z: complex,
@@ -242,8 +252,7 @@ def continue_along(sys, y0, pieces, rtol: float = 1e-11,
 # canonical solution matrix and monodromy
 
 def numeric_canonical_solution(sys: OkuboSystem, cfg: PathConfig,
-                               order: int | None = None,
-                               _locals_out: list | None = None) -> np.ndarray:
+                               order: int | None = None) -> np.ndarray:
     """Psi(p0): block-k columns are the local singular solutions at t_k
     normalized by F(t_k) = I, continued to the base point."""
     n = sys.n
@@ -262,8 +271,6 @@ def numeric_canonical_solution(sys: OkuboSystem, cfg: PathConfig,
         cols = continue_along(sys, cols, [Segment(qk, cfg.base_point)],
                               rtol=cfg.rtol, atol=cfg.atol)
         psi[:, sys.blocks.block_slice(k)] = cols
-        if _locals_out is not None:
-            _locals_out.append(series)
     sv = np.linalg.svd(psi, compute_uv=False)
     if sv[-1] <= 1e-10 * max(1.0, sv[0]):
         raise SingularPsi("canonical solution matrix is numerically singular")

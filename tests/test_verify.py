@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from okubo.core import (
     BlockStructure,
     OkuboSystem,
     SchlesingerSystem,
+    StepFailure,
     default_config,
     e_of,
     okubo_to_schlesinger,
@@ -66,30 +68,100 @@ def test_series_structural_identity():
         assert np.max(np.abs(d @ sysm.residue(k))) == 0.0
 
 
+def gauged(sysm, rng):
+    """G^-1 A G for a random block-diagonal G: still Okubo form, with
+    non-diagonal diagonal blocks."""
+    g = np.zeros_like(sysm.A)
+    for k in range(sysm.r):
+        sl = sysm.blocks.block_slice(k)
+        nk = sysm.blocks.sizes[k]
+        g[sl, sl] = rng.normal(size=(nk, nk)) + 1j * rng.normal(size=(nk, nk))
+    return OkuboSystem(blocks=sysm.blocks, points=sysm.points,
+                       A=np.linalg.solve(g, sysm.A @ g))
+
+
+def recurrence_residual(sysm, series):
+    """Largest relative residual over the orders of the defining relations
+    D F_{m+1}((m+1) + A_k) = F_m(m + A_k) - A F_m outside block k and
+    F_{m+1}[k]((m+1) + A_k) = A[k,:] F_{m+1} in block k, each relative to
+    the size of its terms (max|X| max|Y| for a product XY)."""
+    k = series.k
+    eye = np.eye(sysm.n)
+    sl = sysm.blocks.block_slice(k)
+    a = sysm.A
+    d = np.diag(sysm.t_diag() - sysm.points[k])
+    a_k = sysm.residue(k)
+    size = lambda x: np.max(np.abs(x))
+    worst = 0.0
+    for m, (f_m, f_s) in enumerate(zip(series.coeffs, series.coeffs[1:])):
+        b, c = (m + 1) * eye + a_k, m * eye + a_k
+        outside = d @ f_s @ b - (f_m @ c - a @ f_m)
+        inside = f_s[sl] @ b - a[sl] @ f_s
+        worst = max(worst,
+                    size(outside) / max(size(d) * size(f_s) * size(b),
+                                        size(f_m) * max(size(c), size(a))),
+                    size(inside) / (size(f_s) * max(size(b), size(a))))
+    return worst
+
+
 def test_series_ode_residual_hypergeometric():
-    sysm = hge_canonical()
-    cfg = default_config(sysm.points)
-    for k in range(2):
-        series = adaptive_series(sysm, k, cfg.radii[k], tol=1e-15)
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            r = cfg.radii[k] * rng.uniform(0.2, 1.0)
-            th = cfg.thetas[k] + rng.uniform(-0.5, 0.5)
-            z = r * cmath.exp(1j * th)
-            cols, dcols = eval_local_block(sysm, series, z,
-                                           math.log(r) + 1j * th, deriv=True)
-            assert ode_residual(sysm, sysm.points[k] + z, cols, dcols) < 1e-10
+    # ranks 2, 6 and 5, and the same systems with non-diagonal A_kk; the
+    # adaptive series grows in place to the coefficients of a fresh one
+    systems = [hge_canonical()]
+    for kind, n in (("II", 3), ("III", 2)):
+        systems.append(canonical_system(
+            sample_spec(kind, n, np.random.default_rng(11))))
+    gauge_rng = np.random.default_rng(12)
+    systems += [gauged(sysm, gauge_rng) for sysm in systems]
+    for sysm in systems:
+        cfg = default_config(sysm.points)
+        for k in range(sysm.r):
+            series = adaptive_series(sysm, k, cfg.radii[k], tol=1e-15)
+            fresh = frobenius_series(sysm, k, series.order)
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(series.coeffs, fresh.coeffs))
+            rng = np.random.default_rng(2)
+            for _ in range(10):
+                r = cfg.radii[k] * rng.uniform(0.2, 1.0)
+                th = cfg.thetas[k] + rng.uniform(-0.5, 0.5)
+                z = r * cmath.exp(1j * th)
+                cols, dcols = eval_local_block(
+                    sysm, series, z, math.log(r) + 1j * th, deriv=True)
+                assert ode_residual(sysm, sysm.points[k] + z, cols,
+                                    dcols) < 1e-10
+
+
+def test_series_far_from_resonance_computes():
+    # eigenvalue margins 0.22 and 0.26: no resonance, though a singular
+    # value guard on the Kronecker operator used to raise at m=1
+    for kind, seed, k in (("II", 7, 1), ("III", 9, 0)):
+        sysm = canonical_system(
+            sample_spec(kind, 8, np.random.default_rng(seed)))
+        series = frobenius_series(sysm, k, 12)
+        assert series.order == 12
+        assert recurrence_residual(sysm, series) < 1e-12
 
 
 def test_series_resonance_detected():
-    # integer exponent difference in a diagonal block
-    a = np.array([[0.25, 0.0, 1.0],
-                  [0.0, 1.25, 1.0],
-                  [0.3, 0.4, 0.5]], dtype=complex)
-    sysm = OkuboSystem(blocks=BlockStructure((2, 1)), points=(0.0, 1.0), A=a)
+    # one case per kind: eigenvalues of A_kk differing by an integer (the
+    # Sylvester solve), an eigenvalue at +s (the triangular solve) and at -s
+    # (the inverse of s + A_k)
     from okubo.core import ResonanceError
-    with pytest.raises(ResonanceError):
-        frobenius_series(sysm, 0, 5)
+    cases = (((2, 1), [[0.25, 0.0, 1.0], [0.0, 1.25, 1.0], [0.3, 0.4, 0.5]], 1),
+             ((1, 1), [[2.0, 1.0], [0.3, 0.5]], 2),
+             ((1, 1), [[-3.0, 1.0], [0.3, 0.5]], 3))
+    for sizes, a, order in cases:
+        sysm = OkuboSystem(blocks=BlockStructure(sizes), points=(0.0, 1.0),
+                           A=np.array(a, dtype=complex))
+        with pytest.raises(ResonanceError, match=rf"order m={order} .*margin"):
+            frobenius_series(sysm, 0, 5)
+
+
+def test_adaptive_series_cap_raises():
+    sysm = hge_canonical()
+    cfg = default_config(sysm.points)
+    with pytest.raises(StepFailure, match="within 5 terms"):
+        adaptive_series(sysm, 0, cfg.radii[0], tol=1e-300, cap=5)
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +348,14 @@ def test_monodromy_convergence_under_refinement():
     spec = sample_spec("II", 2, np.random.default_rng(9))
     sysm = canonical_system(spec)
     cfg = default_config(spec.points)
-    orders = []
-    numeric_canonical_solution(sysm, cfg, _locals_out=orders)
-    base_order = max(s.order for s in orders)
+    base_order = max(
+        adaptive_series(sysm, k, cfg.radii[k], tol=cfg.series_tol,
+                        cap=cfg.max_order).order
+        for k in range(sysm.r))
     mon1 = numeric_monodromy(sysm, cfg)
-    cfg2 = cfg.scaled(rtol=cfg.rtol / 2, max_order=2 * base_order + 8)
+    rtol = cfg.rtol / 2
+    cfg2 = replace(cfg, rtol=rtol, atol=rtol * 1e-2,
+                   max_order=2 * base_order + 8)
     mon2 = numeric_monodromy(sysm, cfg2, order=2 * base_order)
     for a, b in zip(mon1.matrices, mon2.matrices):
         assert np.max(np.abs(a - b)) < 1e-8
