@@ -19,6 +19,7 @@ from .core import (
     SchlesingerSystem,
     ShapeError,
     SingularBlock,
+    SingularPoint,
     SingularPsi,
     StepFailure,
     StructureError,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -63,6 +64,18 @@ def parse_complex(text: str) -> complex:
 
 def parse_complex_list(text: str):
     return tuple(parse_complex(p) for p in text.split(",") if p.strip())
+
+
+def parse_tol(text: str) -> float:
+    """A tolerance: a positive finite float."""
+    try:
+        tol = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad tolerance {text!r}") from exc
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be positive and finite, got {text!r}")
+    return tol
 
 
 def _spec_from_args(args) -> YokoyamaSpec:
@@ -372,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="system JSON (numeric route only)")
     p.add_argument("--closed-form", action="store_true")
     p.add_argument("--numeric", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=parse_tol, default=1e-8)
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=cmd_monodromy)
 
@@ -380,14 +393,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_flags(p)
     p.add_argument("--x", type=parse_complex, action="append",
                    help="evaluation point (repeatable; default 3 random)")
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=parse_tol, default=1e-7)
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=cmd_det_check)
 
     p = sub.add_parser("verify", help="run the verification suite for a spec")
     _add_spec_flags(p)
     p.add_argument("--input", help="verify this system JSON against the spec")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=parse_tol, default=1e-6)
     p.add_argument("-o", "--output", default="verify-report.json")
     p.set_defaults(func=cmd_verify)
     return ap

@@ -70,6 +70,10 @@ class StepFailure(OkuboError):
     """The continuation integrator failed to advance."""
 
 
+class SingularPoint(OkuboError):
+    """An evaluation point coincides with a singular point t_k."""
+
+
 class SingularPsi(OkuboError):
     """The canonical solution matrix is (numerically) singular."""
 

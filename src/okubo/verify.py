@@ -23,6 +23,7 @@ from .core import (
     PathConfig,
     ResonanceError,
     SingularBlock,
+    SingularPoint,
     SingularPsi,
     StepFailure,
     matrix_scale,
@@ -226,10 +227,15 @@ def loop_path(cfg: PathConfig, k: int) -> LoopPath:
 
 def continue_along(sys, y0, pieces, rtol: float = 1e-11,
                    atol: float = 1e-13) -> np.ndarray:
-    """Transport a solution matrix along a path of Segments/Arcs."""
+    """Transport a solution matrix along a path of Segments/Arcs.
+
+    The right-hand side sums the residues, stacked as an (r, n*n) array,
+    with one BLAS product: sum_j R_j/(x - t_j) is a (1, r) by (r, n*n) dot.
+    """
     sch = okubo_to_schlesinger(sys) if isinstance(sys, OkuboSystem) else sys
+    n, r = sch.n, sch.r
     pts = np.array(sch.points)
-    res = np.stack(sch.residues)
+    res = np.stack(sch.residues).reshape(r, n * n)
     y = np.asarray(y0, dtype=complex)
     shape = y.shape
 
@@ -237,7 +243,7 @@ def continue_along(sys, y0, pieces, rtol: float = 1e-11,
         def rhs(s, vec):
             x = piece.at(s)
             v = piece.velocity(s)
-            m = np.tensordot(1.0 / (x - pts), res, axes=(0, 0))
+            m = np.dot((1.0 / (x - pts)).reshape(1, r), res).reshape(n, n)
             return (v * (m @ vec.reshape(shape))).reshape(-1)
 
         sol = solve_ivp(rhs, (0.0, 1.0), y.reshape(-1), method="DOP853",
@@ -314,10 +320,15 @@ def numeric_connection(sys: OkuboSystem, cfg: PathConfig,
 
 def numeric_determinant(sys: OkuboSystem, cfg: PathConfig, x: complex,
                         psi0: np.ndarray | None = None) -> complex:
-    """det Psi(x), continued from p0 along the straight segment."""
+    """det Psi(x), continued from p0 along the straight segment;
+    SingularPoint when x is one of the t_k."""
+    x = complex(x)
+    for k, t in enumerate(sys.points):
+        if x == t:
+            raise SingularPoint(f"x={x} coincides with the singular point "
+                                f"t_{k}; det Psi is not defined there")
     if psi0 is None:
         psi0 = numeric_canonical_solution(sys, cfg)
-    x = complex(x)
     if x == cfg.base_point:
         return complex(np.linalg.det(psi0))
     psi_x = continue_along(sys, psi0, [Segment(cfg.base_point, x)],

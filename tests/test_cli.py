@@ -196,6 +196,30 @@ def test_verify_float_floor_tolerance(tmp_path):
     assert all("residual" in c for c in rep["checks"])
 
 
+@pytest.mark.parametrize("command", [
+    ["verify", "--type", "II", "--n", "1"],
+    ["det-check", "--type", "II", "--n", "1"],
+    ["monodromy", "--type", "II", "--n", "1", "--closed-form", "--numeric"],
+])
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_tolerance_must_be_positive_and_finite(tmp_path, capsys, command, tol):
+    code = run(command + ["--tol", tol, "-o", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "tolerance must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("x,k", [("0", 0), ("1", 1)])
+def test_det_check_at_singular_point_names_it(tmp_path, capsys, x, k):
+    out = tmp_path / "d.json"
+    code = run(["det-check", "--type", "II", "--n", "2", "--seed", "1",
+                "--x", x, "-o", str(out)])
+    assert code == 3
+    msg = f"coincides with the singular point t_{k}"
+    assert msg in capsys.readouterr().err
+    assert msg in load_json(out)["error"]
+
+
 INPUT_COMMANDS = [
     ["verify", "--type", "II", "--n", "2", "--input", "{path}"],
     ["mc", "{path}", "--mu", "0.3"],

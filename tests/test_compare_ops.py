@@ -1,0 +1,61 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_ops.py"
+_spec = importlib.util.spec_from_file_location("compare_ops", TOOL)
+compare_ops = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_ops)
+
+TOL = 1e-06
+KEYS = {1: [
+    ("verify:II:6:1", "check_fail",
+     [("closed_form_vs_numeric_monodromy", 2.2e-06, TOL)],
+     "closed_form_vs_numeric_monodromy"),
+    ("verify:II:4:1", "pass",
+     [("closed_form_vs_numeric_monodromy", 3.1e-09, TOL),
+      ("okubo_determinant", 4.0e-12, TOL)], ""),
+    ("verify:I:4:1", "pass", [("okubo_determinant", 1.0e-10, TOL)], ""),
+]}
+
+
+def test_identical_keys_exit_zero(capsys):
+    assert compare_ops.compare(KEYS, KEYS) == ([], [])
+    assert compare_ops.report(KEYS, KEYS) == 0
+    out = capsys.readouterr().out
+    assert "seed 1: failed/attempted A 1/3, B 1/3" in out
+    assert "all 3 keys identical" in out
+
+
+def test_one_flip_and_one_residual_change(capsys):
+    flipped, moved, same = KEYS[1]
+    other = {1: [
+        (flipped[0], "pass",
+         [("closed_form_vs_numeric_monodromy", 9.5e-07, TOL)], ""),
+        (moved[0], "pass",
+         [("closed_form_vs_numeric_monodromy", 3.1e-07, TOL),
+          ("okubo_determinant", 4.0e-12, TOL)], ""),
+        same,
+    ]}
+    flips, changes = compare_ops.compare(KEYS, other)
+    assert len(flips) == 1 and len(changes) == 1
+    seed, label, was, now, shift, check = flips[0]
+    assert (seed, label, was, now) == (1, "verify:II:6:1", "check_fail", "pass")
+    assert check == "closed_form_vs_numeric_monodromy"
+    assert shift == pytest.approx(0.3645, abs=1e-3)
+    seed, label, outcome, shift, check, _, _ = changes[0]
+    assert (seed, label, outcome, check) == (
+        1, "verify:II:4:1", "pass", "closed_form_vs_numeric_monodromy")
+    assert shift == pytest.approx(2.0)
+    assert compare_ops.report(KEYS, other) == 1
+    out = capsys.readouterr().out
+    assert "A 1/3, B 0/3" in out
+    assert "FLIP seed 1 verify:II:6:1: check_fail -> pass" in out
+    assert "DIFF seed 1 verify:II:4:1 (pass): |dlog10| 2" in out
+
+
+def test_missing_op_is_a_flip():
+    flips, changes = compare_ops.compare(KEYS, {1: KEYS[1][:2]})
+    assert flips == [(1, "verify:I:4:1", "pass", None, 0.0, None)]
+    assert changes == []

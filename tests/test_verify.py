@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from okubo.core import (
     BlockStructure,
@@ -286,6 +287,55 @@ def test_local_monodromy_block_identity():
                              rtol=cfg.rtol, atol=cfg.atol)
         want = cols @ sla.expm(2j * math.pi * sysm.block(k, k))
         assert np.max(np.abs(out - want)) < 1e-8
+
+
+def tensordot_transport(sch, y0, pieces, rtol=1e-11, atol=1e-13):
+    """Reference transport: DOP853 with the right-hand side summed by
+    np.tensordot, as continue_along once did."""
+    pts = np.array(sch.points)
+    res = np.stack(sch.residues)
+    y = np.asarray(y0, dtype=complex)
+    shape = y.shape
+    for piece in pieces:
+        def rhs(s, vec):
+            x = piece.at(s)
+            v = piece.velocity(s)
+            m = np.tensordot(1.0 / (x - pts), res, axes=(0, 0))
+            return (v * (m @ vec.reshape(shape))).reshape(-1)
+
+        sol = solve_ivp(rhs, (0.0, 1.0), y.reshape(-1), method="DOP853",
+                        rtol=rtol, atol=atol, dense_output=False)
+        assert sol.success
+        y = sol.y[:, -1].reshape(shape)
+    return y
+
+
+def test_transport_bitwise_equals_tensordot_reference():
+    # block-k columns (n x n_k, not square) of the II n=2 canonical system
+    # along gamma_k: segment, circle, segment
+    spec = sample_spec("II", 2, np.random.default_rng(6))
+    sysm = canonical_system(spec)
+    cfg = default_config(spec.points)
+    psi = numeric_canonical_solution(sysm, cfg)
+    sch = okubo_to_schlesinger(sysm)
+    for k in range(sysm.r):
+        cols = psi[:, sysm.blocks.block_slice(k)]
+        assert cols.shape == (4, 2)
+        pieces = loop_path(cfg, k).pieces
+        got = continue_along(sysm, cols, pieces, rtol=cfg.rtol, atol=cfg.atol)
+        want = tensordot_transport(sch, cols, pieces, rtol=cfg.rtol,
+                                   atol=cfg.atol)
+        assert np.array_equal(got, want)
+    # dense residues that are not block rows, along one segment
+    rng = np.random.default_rng(11)
+    residues = tuple(0.3 * (rng.standard_normal((3, 3))
+                            + 1j * rng.standard_normal((3, 3)))
+                     for _ in range(3))
+    sch = SchlesingerSystem(points=(0.0, 1.0, 2.5), residues=residues)
+    y0 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    piece = [Segment(0.5 - 1.0j, 2.0 + 0.7j)]
+    assert np.array_equal(continue_along(sch, y0, piece),
+                          tensordot_transport(sch, y0, piece))
 
 
 def test_composite_loop_consistency():
