@@ -339,14 +339,16 @@ def exponent_profile_of(sys: OkuboSystem) -> ExponentProfile:
 class PathConfig:
     """Base point, argument assignments theta_k = arg(p0 - t_k), loop radii,
     and integration controls.  Every branch of log/power used anywhere in the
-    library is fixed by this object."""
+    library is fixed by this object.  default_config and config_from_json
+    take the integration controls from the field defaults below; the
+    oracle's transports run DOP853 at rtol, with atol = rtol * 1e-2."""
 
     points: tuple
     base_point: complex
     thetas: tuple
     radii: tuple
-    rtol: float = 1e-11
-    atol: float = 1e-13
+    rtol: float = 1e-12
+    atol: float = 1e-14
     series_tol: float = 1e-13
     max_order: int = 200
 
@@ -396,9 +398,8 @@ def default_config(points) -> PathConfig:
         others = [abs(t - s) for s in pts if s != t] + [abs(t - p0)]
         gaps.append(min(others))
     radii = [g / 4.0 for g in gaps]
-    # atol = rtol * 1e-2 as computed in floating point (not 1e-13)
     return PathConfig(points=tuple(pts), base_point=p0, thetas=tuple(thetas),
-                      radii=tuple(radii), atol=1e-11 * 1e-2)
+                      radii=tuple(radii))
 
 
 def _arg_in_interval(z: complex, lo: float, hi: float) -> float:
@@ -632,15 +633,15 @@ def config_to_json(cfg: PathConfig) -> dict:
 
 
 def config_from_json(d) -> PathConfig:
+    """Keys that d lacks take the PathConfig defaults."""
+    controls = {key: d[key] for key in ("rtol", "atol", "series_tol",
+                                        "max_order") if key in d}
     return PathConfig(
         points=tuple(complex_from_json(t) for t in d["points"]),
         base_point=complex_from_json(d["base_point"]),
         thetas=tuple(d["thetas"]),
         radii=tuple(d["radii"]),
-        rtol=d.get("rtol", 1e-11),
-        atol=d.get("atol", 1e-13),
-        series_tol=d.get("series_tol", 1e-13),
-        max_order=d.get("max_order", 200),
+        **controls,
     )
 
 

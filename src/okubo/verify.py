@@ -1,6 +1,7 @@
 """Independent numerical oracle: Frobenius series at each finite singular
-point, analytic continuation of the ODE along loops, and the resulting
-numeric monodromy/connection data.
+point, analytic continuation of the ODE from each t_k to the base point,
+each loop closed by the formal monodromy of the series at its entry point,
+and the resulting numeric monodromy/connection data.
 
 Nothing here consults a closed form; agreement with the formula modules is
 what the acceptance suite checks.
@@ -127,6 +128,16 @@ def adaptive_series(sys: OkuboSystem, k: int, r_eval: float,
         frobenius_series(sys, k, min(step, cap - series.order), series)
 
 
+def eval_factor(series: LocalSeries, z: complex) -> np.ndarray:
+    """The full n x n local factor F(t_k + z) = sum_m F_m z^m."""
+    f = np.zeros_like(series.coeffs[0])
+    zp = 1.0 + 0.0j
+    for c in series.coeffs:
+        f += c * zp
+        zp *= z
+    return f
+
+
 def eval_local_block(sys: OkuboSystem, series: LocalSeries, z: complex,
                      log_z: complex, deriv: bool = False):
     """Psi^(k)_k(t_k + z) = F(z) e_k z^{A_kk}, using the supplied branch of
@@ -134,11 +145,7 @@ def eval_local_block(sys: OkuboSystem, series: LocalSeries, z: complex,
     k = series.k
     sl_k = sys.blocks.block_slice(k)
     akk = sys.block(k, k)
-    f = np.zeros_like(series.coeffs[0])
-    zp = 1.0 + 0.0j
-    for c in series.coeffs:
-        f += c * zp
-        zp *= z
+    f = eval_factor(series, z)
     zakk = sla.expm(log_z * akk)
     cols = f[:, sl_k] @ zakk
     if not deriv:
@@ -214,11 +221,17 @@ class LoopPath:
         return dmin
 
 
+def loop_entry(cfg: PathConfig, k: int) -> complex:
+    """q_k - t_k: where gamma_k meets its circle, seen from t_k."""
+    return cfg.radii[k] * cmath.exp(1j * cfg.thetas[k])
+
+
 def loop_path(cfg: PathConfig, k: int) -> LoopPath:
     """p0 -> circle entry along the straight p0-t_k line, full positive
-    circle, straight return."""
+    circle, straight return.  numeric_monodromy closes the circle in closed
+    form; the transported path serves as a cross-check."""
     tk = cfg.points[k]
-    qk = tk + cfg.radii[k] * cmath.exp(1j * cfg.thetas[k])
+    qk = tk + loop_entry(cfg, k)
     circle = Arc(center=tk, radius=cfg.radii[k],
                  arg0=cfg.thetas[k], arg1=cfg.thetas[k] + 2 * math.pi)
     return LoopPath(k=k, pieces=[Segment(cfg.base_point, qk), circle,
@@ -257,22 +270,29 @@ def continue_along(sys, y0, pieces, rtol: float = 1e-11,
 # ---------------------------------------------------------------------------
 # canonical solution matrix and monodromy
 
+def local_series(sys: OkuboSystem, cfg: PathConfig,
+                 order: int | None = None) -> list:
+    """The Frobenius series at every t_k: grown until it converges at the
+    loop radius r_k, or of the fixed ``order``."""
+    if order is not None:
+        return [frobenius_series(sys, k, order) for k in range(sys.r)]
+    return [adaptive_series(sys, k, cfg.radii[k], tol=cfg.series_tol,
+                            cap=cfg.max_order) for k in range(sys.r)]
+
+
 def numeric_canonical_solution(sys: OkuboSystem, cfg: PathConfig,
-                               order: int | None = None) -> np.ndarray:
+                               series: list | None = None) -> np.ndarray:
     """Psi(p0): block-k columns are the local singular solutions at t_k
-    normalized by F(t_k) = I, continued to the base point."""
+    normalized by F(t_k) = I, continued to the base point.  ``series``
+    (one per t_k, as from local_series) is computed when not given."""
+    if series is None:
+        series = local_series(sys, cfg)
     n = sys.n
     psi = np.zeros((n, n), dtype=complex)
     for k in range(sys.r):
-        rk = cfg.radii[k]
-        if order is None:
-            series = adaptive_series(sys, k, rk, tol=cfg.series_tol,
-                                     cap=cfg.max_order)
-        else:
-            series = frobenius_series(sys, k, order)
-        z = rk * cmath.exp(1j * cfg.thetas[k])
-        log_z = math.log(rk) + 1j * cfg.thetas[k]
-        cols = eval_local_block(sys, series, z, log_z)
+        z = loop_entry(cfg, k)
+        log_z = math.log(cfg.radii[k]) + 1j * cfg.thetas[k]
+        cols = eval_local_block(sys, series[k], z, log_z)
         qk = sys.points[k] + z
         cols = continue_along(sys, cols, [Segment(qk, cfg.base_point)],
                               rtol=cfg.rtol, atol=cfg.atol)
@@ -285,14 +305,28 @@ def numeric_canonical_solution(sys: OkuboSystem, cfg: PathConfig,
 
 def numeric_monodromy(sys: OkuboSystem, cfg: PathConfig,
                       order: int | None = None) -> MonodromyTuple:
-    """M_k = Psi(p0)^{-1} (Psi continued along gamma_k)."""
-    psi0 = numeric_canonical_solution(sys, cfg, order=order)
+    """M_k = Psi(p0)^{-1} (Psi continued along gamma_k).
+
+    Only the segment p0 -> q_k is transported.  Near t_k, Psi = F(x)(x -
+    t_k)^{A_k} C for a constant C, and one positive turn multiplies
+    (x - t_k)^{A_k} on the right by e(A_k) = exp(2 pi i A_k), which
+    commutes with it.  With P = F(q_k)^{-1} Psi(q_k) = (q_k - t_k)^{A_k} C
+    the circle takes Psi(q_k) to Psi(q_k) P^{-1} e(A_k) P, and the return
+    segment maps Psi(q_k) M_k to Psi(p0) M_k.  P and M_k are taken by
+    solves: forming F e(A_k) F^{-1} with an explicit inverse can lose a
+    decade more where F(q_k) is ill-conditioned.
+    """
+    series = local_series(sys, cfg, order)
+    psi0 = numeric_canonical_solution(sys, cfg, series=series)
     mats = []
     for k in range(sys.r):
-        path = loop_path(cfg, k)
-        psi_k = continue_along(sys, psi0, path.pieces,
+        z = loop_entry(cfg, k)
+        psi_q = continue_along(sys, psi0,
+                               [Segment(cfg.base_point, sys.points[k] + z)],
                                rtol=cfg.rtol, atol=cfg.atol)
-        mats.append(np.linalg.solve(psi0, psi_k))
+        p = np.linalg.solve(eval_factor(series[k], z), psi_q)
+        e_k = sla.expm(2j * math.pi * sys.residue(k))
+        mats.append(np.linalg.solve(p, e_k @ p))
     return MonodromyTuple(matrices=tuple(mats), config=cfg,
                           blocks=sys.blocks)
 

@@ -25,6 +25,11 @@ def test_identical_keys_exit_zero(capsys):
     assert compare_ops.report(KEYS, KEYS) == 0
     out = capsys.readouterr().out
     assert "seed 1: failed/attempted A 1/3, B 1/3" in out
+    # margins of the four checks: -0.342, 2.509, 5.398, 4.0
+    assert "err_digits_p50 A 3.254, B 3.254" in out
+    assert "flips: 0 to pass, 0 to fail, 0 other" in out
+    assert ("CHECK closed_form_vs_numeric_monodromy: median signed dlog10 "
+            "+0.000 over 2 residuals (0 lower, 0 higher)") in out
     assert "all 3 keys identical" in out
 
 
@@ -53,9 +58,46 @@ def test_one_flip_and_one_residual_change(capsys):
     assert "A 1/3, B 0/3" in out
     assert "FLIP seed 1 verify:II:6:1: check_fail -> pass" in out
     assert "DIFF seed 1 verify:II:4:1 (pass): |dlog10| 2" in out
+    assert "flips: 1 to pass, 0 to fail, 0 other" in out
+    # margins -0.342, 2.509, 5.398, 4.0 -> 0.022, 0.509, 5.398, 4.0
+    assert "err_digits_p50 A 3.254, B 2.254" in out
+    # dlog10 -0.365 and +2.0; the determinant did not move
+    assert ("CHECK closed_form_vs_numeric_monodromy: median signed dlog10 "
+            "+0.818 over 2 residuals (1 lower, 1 higher)") in out
+    assert ("CHECK okubo_determinant: median signed dlog10 +0.000 over 2 "
+            "residuals (0 lower, 0 higher)") in out
 
 
 def test_missing_op_is_a_flip():
     flips, changes = compare_ops.compare(KEYS, {1: KEYS[1][:2]})
     assert flips == [(1, "verify:I:4:1", "pass", None, 0.0, None)]
     assert changes == []
+
+
+def test_flips_counted_by_direction_and_signed_shifts(capsys):
+    flipped, moved, same = KEYS[1]
+    worse = {1: [
+        flipped,
+        (moved[0], "check_fail",
+         [("closed_form_vs_numeric_monodromy", 3.1e-05, TOL),
+          ("okubo_determinant", 4.0e-12, TOL)],
+         "closed_form_vs_numeric_monodromy"),
+        (same[0], "precondition", [], "SingularPsi: singular"),
+    ]}
+    assert compare_ops.report(KEYS, worse) == 1
+    out = capsys.readouterr().out
+    assert "flips: 0 to pass, 2 to fail, 0 other" in out
+    assert ("CHECK closed_form_vs_numeric_monodromy: median signed dlog10 "
+            "+2.000 over 2 residuals (0 lower, 1 higher)") in out
+    # B lost the precondition op's check: margins -0.342, -1.491, 5.398
+    assert "err_digits_p50 A 3.254, B -0.342" in out
+
+
+def test_margin_digits_matches_benchmark():
+    import sys
+    sys.path.insert(0, str(TOOL.parents[1] / "perfbench"))
+    import workloads
+    for res in (0.0, 1e-30, 3.1e-9, 1e-6, 2.2e-6, 5.0, float("inf"),
+                float("nan")):
+        assert compare_ops.margin_digits(res, TOL) == \
+            workloads.margin_digits(res, TOL)

@@ -316,6 +316,21 @@ def test_config_and_monodromy_json_roundtrip(cfg01):
     assert back.config == cfg01
 
 
+def test_transport_defaults_come_from_path_config(cfg01):
+    # default_config and a JSON config without the integration controls both
+    # take the PathConfig field defaults, written in one place
+    from dataclasses import fields
+    defaults = {f.name: f.default for f in fields(PathConfig)
+                if f.name in ("rtol", "atol", "series_tol", "max_order")}
+    assert defaults["atol"] == defaults["rtol"] * 1e-2
+    d = config_to_json(cfg01)
+    for key in defaults:
+        del d[key]
+    for cfg in (cfg01, default_config((0.0, 1.0, 2.5)), config_from_json(d)):
+        for key, want in defaults.items():
+            assert getattr(cfg, key) == want
+
+
 def test_json_file_roundtrip(tmp_path):
     from okubo.core import dump_json, load_json
     sysm = hge_system()

@@ -69,14 +69,19 @@ def test_series_structural_identity():
         assert np.max(np.abs(d @ sysm.residue(k))) == 0.0
 
 
-def gauged(sysm, rng):
-    """G^-1 A G for a random block-diagonal G: still Okubo form, with
-    non-diagonal diagonal blocks."""
+def block_gauge(sysm, rng):
+    """A random block-diagonal G (it commutes with T)."""
     g = np.zeros_like(sysm.A)
     for k in range(sysm.r):
         sl = sysm.blocks.block_slice(k)
         nk = sysm.blocks.sizes[k]
         g[sl, sl] = rng.normal(size=(nk, nk)) + 1j * rng.normal(size=(nk, nk))
+    return g
+
+
+def gauged(sysm, g):
+    """G^-1 A G for a block-diagonal G: still Okubo form, with non-diagonal
+    diagonal blocks."""
     return OkuboSystem(blocks=sysm.blocks, points=sysm.points,
                        A=np.linalg.solve(g, sysm.A @ g))
 
@@ -113,7 +118,7 @@ def test_series_ode_residual_hypergeometric():
         systems.append(canonical_system(
             sample_spec(kind, n, np.random.default_rng(11))))
     gauge_rng = np.random.default_rng(12)
-    systems += [gauged(sysm, gauge_rng) for sysm in systems]
+    systems += [gauged(sysm, block_gauge(sysm, gauge_rng)) for sysm in systems]
     for sysm in systems:
         cfg = default_config(sysm.points)
         for k in range(sysm.r):
@@ -287,6 +292,65 @@ def test_local_monodromy_block_identity():
                              rtol=cfg.rtol, atol=cfg.atol)
         want = cols @ sla.expm(2j * math.pi * sysm.block(k, k))
         assert np.max(np.abs(out - want)) < 1e-8
+
+
+CIRCLE_SPECS = (("II", 2, 6), ("III", 2, 3), ("I*", 3, 7))
+
+
+def test_closed_form_circle_equals_transported_circle():
+    # M_k from the formal monodromy at q_k against Psi0 carried by DOP853
+    # along the whole loop: segment, circle, segment
+    for kind, n, seed in CIRCLE_SPECS:
+        sysm = canonical_system(sample_spec(kind, n, np.random.default_rng(seed)))
+        cfg = default_config(sysm.points)
+        psi = numeric_canonical_solution(sysm, cfg)
+        mon = numeric_monodromy(sysm, cfg)
+        for k in range(sysm.r):
+            out = continue_along(sysm, psi, loop_path(cfg, k).pieces,
+                                 rtol=cfg.rtol, atol=cfg.atol)
+            want = np.linalg.solve(psi, out)
+            assert np.max(np.abs(mon.matrices[k] - want)) < 1e-9
+
+
+def test_closed_form_circle_under_block_gauge():
+    # G^-1 A G with a random block-diagonal G has non-diagonal A_kk; its
+    # canonical solution is G^-1 Psi G, so its monodromy is G^-1 M_k G
+    for kind, n, seed in CIRCLE_SPECS:
+        sysm = canonical_system(sample_spec(kind, n, np.random.default_rng(seed)))
+        g = block_gauge(sysm, np.random.default_rng(seed + 100))
+        cfg = default_config(sysm.points)
+        mon = numeric_monodromy(sysm, cfg)
+        mon_g = numeric_monodromy(gauged(sysm, g), cfg)
+        for m, m_g in zip(mon.matrices, mon_g.matrices):
+            assert np.max(np.abs(m_g - np.linalg.solve(g, m @ g))) < 1e-9
+
+
+def test_closed_form_circle_rows_outside_block_are_identity():
+    # e(A_k) is the identity outside block row k, and so is M_k
+    for kind, n, seed in CIRCLE_SPECS:
+        sysm = canonical_system(sample_spec(kind, n, np.random.default_rng(seed)))
+        mon = numeric_monodromy(sysm, default_config(sysm.points))
+        for k, m in enumerate(mon.matrices):
+            outside = np.ones(sysm.n, dtype=bool)
+            outside[sysm.blocks.block_slice(k)] = False
+            dev = np.max(np.abs(m[outside] - np.eye(sysm.n)[outside]))
+            assert dev < 1e-9 * max(1.0, np.max(np.abs(m)))
+
+
+def test_monodromy_computes_each_series_once(monkeypatch):
+    # Psi0 and the closed-form circles share one series per t_k
+    import okubo.verify
+    calls = []
+    grow = okubo.verify.adaptive_series
+
+    def counted(sysm, k, *args, **kwargs):
+        calls.append(k)
+        return grow(sysm, k, *args, **kwargs)
+
+    monkeypatch.setattr(okubo.verify, "adaptive_series", counted)
+    sysm = canonical_system(sample_spec("I*", 3, np.random.default_rng(7)))
+    numeric_monodromy(sysm, default_config(sysm.points))
+    assert calls == [0, 1, 2]
 
 
 def tensordot_transport(sch, y0, pieces, rtol=1e-11, atol=1e-13):

@@ -10,10 +10,14 @@ builds each seed's op list with ``workloads.build_ops`` and runs every op
 once with ``workloads.run_op``.  An op's key is its ``Result.key()``: the
 outcome, the repr of every residual and tolerance, and the detail.
 
-Prints failed/attempted per seed on both trees, then every op whose outcome
-flips and every op whose detail or residuals differ, each with the largest
-|delta log10| of a residual.  Exit status 0 when every key is identical, 1
-when any differs, 2 when a tree cannot be run.
+Prints, per seed and tree, failed/attempted and err_digits_p50 (the median
+margin in digits below tolerance over every check, as the benchmark
+reports it); then every op whose outcome flips and every op whose detail or
+residuals differ, each with the largest |delta log10| of a residual; then
+how many flips go to pass and to fail, and for each check the median signed
+delta log10 of its residuals (negative: B's residuals are smaller).  Exit
+status 0 when every key is identical, 1 when any differs, 2 when a tree
+cannot be run.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -66,6 +71,40 @@ def key(outcome, checks, detail) -> tuple:
 
 def _log10(x: float) -> float:
     return math.log10(x) if x > 0 and math.isfinite(x) else -math.inf
+
+
+def margin_digits(residual: float, tol: float) -> float:
+    """-log10(residual / tol) clamped to [-16, 16], as
+    perfbench/workloads.py's margin_digits."""
+    if not math.isfinite(residual):
+        return -16.0
+    ratio = max(residual, tol * 1e-16) / tol
+    return max(-16.0, min(16.0, -math.log10(ratio)))
+
+
+def err_digits_p50(rows) -> float:
+    """Median margin_digits over every check of every op; nan when no op
+    has a check."""
+    digits = [margin_digits(res, tol) for row in rows for _, res, tol in row[2]]
+    return statistics.median(digits) if digits else math.nan
+
+
+def check_shifts(keys_a: dict, keys_b: dict) -> dict:
+    """{check: [signed delta log10 residual, ...]} over the ops and checks
+    both sides have, skipping residuals that are zero or not finite."""
+    out = {}
+    for seed in set(keys_a) & set(keys_b):
+        res_a = {(row[0], name): res
+                 for row in keys_a[seed] for name, res, _ in row[2]}
+        for row in keys_b[seed]:
+            for name, res_b, _ in row[2]:
+                res = res_a.get((row[0], name))
+                if res is None:
+                    continue
+                la, lb = _log10(res), _log10(res_b)
+                if math.isfinite(la) and math.isfinite(lb):
+                    out.setdefault(name, []).append(lb - la)
+    return out
 
 
 def largest_shift(checks_a, checks_b):
@@ -116,9 +155,11 @@ def failed_attempted(rows) -> str:
 
 def report(keys_a: dict, keys_b: dict) -> int:
     for seed in sorted(set(keys_a) | set(keys_b)):
+        rows_a, rows_b = keys_a.get(seed, []), keys_b.get(seed, [])
         print(f"seed {seed}: failed/attempted "
-              f"A {failed_attempted(keys_a.get(seed, []))}, "
-              f"B {failed_attempted(keys_b.get(seed, []))}")
+              f"A {failed_attempted(rows_a)}, B {failed_attempted(rows_b)}; "
+              f"err_digits_p50 A {err_digits_p50(rows_a):.3f}, "
+              f"B {err_digits_p50(rows_b):.3f}")
     flips, changes = compare(keys_a, keys_b)
     for seed, label, oa, ob, shift, check in flips:
         print(f"FLIP seed {seed} {label}: {oa} -> {ob}"
@@ -127,6 +168,16 @@ def report(keys_a: dict, keys_b: dict) -> int:
         print(f"DIFF seed {seed} {label} ({outcome}):"
               + (f" |dlog10| {shift:.3g} at {check}" if check else "")
               + (f" detail {da!r} -> {db!r}" if da != db else ""))
+    to_pass = sum(ob == "pass" for _, _, _, ob, _, _ in flips)
+    to_fail = sum(oa == "pass" and ob is not None
+                  for _, _, oa, ob, _, _ in flips)
+    print(f"flips: {to_pass} to pass, {to_fail} to fail, "
+          f"{len(flips) - to_pass - to_fail} other")
+    for name, shifts in sorted(check_shifts(keys_a, keys_b).items()):
+        print(f"CHECK {name}: median signed dlog10 "
+              f"{statistics.median(shifts):+.3f} over {len(shifts)} residuals "
+              f"({sum(d < 0 for d in shifts)} lower, "
+              f"{sum(d > 0 for d in shifts)} higher)")
     total = sum(len(rows) for rows in keys_a.values())
     if flips or changes:
         print(f"{len(flips)} flips, {len(changes)} changed keys of {total} ops")
