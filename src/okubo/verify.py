@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 from scipy.integrate import solve_ivp
-from scipy.linalg.lapack import ztrsyl
+from scipy.linalg.lapack import ztrsyl, ztrtrs
 
 from .core import (
     MonodromyTuple,
@@ -54,11 +54,13 @@ def frobenius_series(sys: OkuboSystem, k: int, order: int,
     F_0 = I when None) and return it.
 
     Rows outside block k solve D F_{m+1}((m+1) + A_k) = F_m(m + A_k) - A F_m
-    (D = T - t_k).  A_k is zero outside block row k, so block k splits into
-    a Sylvester equation for its own columns and a solve with (m+1) - A_kk
-    for the others, both triangular in one Schur basis A_kk = Q T Q^H
-    (Bartels-Stewart).  ResonanceError names the eigenvalues of A_kk that
-    make an order singular at tolerance.
+    (D = T - t_k).  A_k is zero outside block row k, so s + A_k (s = m+1) is
+    block triangular, with inverse [[(s + A_kk)^-1, -(s + A_kk)^-1 A_ko/s],
+    [0, I/s]]; and block k splits into a Sylvester equation for its own
+    columns and a solve with s - A_kk for the others.  All three are
+    triangular in one Schur basis A_kk = Q T Q^H (Bartels-Stewart).
+    ResonanceError names the eigenvalues of A_kk that make an order singular
+    at tolerance.
     """
     n = sys.n
     a = sys.A
@@ -92,18 +94,23 @@ def frobenius_series(sys: OkuboSystem, k: int, order: int,
                 f"resonance at order m={s} for k={k}: eigenvalue(s) {eigs} "
                 f"of A_kk, margin {margins[j]:.3g}")
         f_m = coeffs[-1]
-        rhs = f_m @ (m * eye_n + a_k) - a @ f_m
-        b_inv = np.linalg.inv(s * eye_n + a_k)
+        rhs = (f_m @ (m * eye_n + a_k) - a @ f_m)[outside]
+        # X (s + A_k) = rhs: X_k = rhs_k Q (s + T)^-1 Q^H, X_o = (rhs_o -
+        # X_k A_ko)/s
+        x = np.empty_like(rhs)
+        x[:, sl_k] = ztrtrs(s * eye_k + t, (rhs[:, sl_k] @ q).T,
+                            trans=1)[0].T @ qh
+        x[:, outside] = (rhs[:, outside] - x[:, sl_k] @ a_ko) / s
         f_next = np.zeros_like(f_m)
-        f_next[outside] = (rhs[outside] @ b_inv) / d[outside, None]
+        f_next[outside] = x / d[outside, None]
         # block-k rows Z = Q^H X in the Schur basis: Y = Z_k Q solves
         # Y(s + T) - T Y = W_k Q, then (s - T) Z_o = W_o - Z_k A_ko
         w = qh @ (a_krows @ f_next)
         y, sc, _ = ztrsyl(-t, s * eye_k + t, w[:, sl_k] @ q)
         z = np.empty_like(w)
         z[:, sl_k] = (y / sc) @ qh
-        z[:, outside] = sla.solve_triangular(
-            s * eye_k - t, w[:, outside] - z[:, sl_k] @ a_ko)
+        z[:, outside] = ztrtrs(s * eye_k - t,
+                               w[:, outside] - z[:, sl_k] @ a_ko)[0]
         f_next[sl_k, :] = q @ z
         coeffs.append(f_next)
     return series
@@ -238,9 +245,15 @@ def loop_path(cfg: PathConfig, k: int) -> LoopPath:
                                  Segment(qk, cfg.base_point)])
 
 
-def continue_along(sys, y0, pieces, rtol: float = 1e-11,
-                   atol: float = 1e-13) -> np.ndarray:
-    """Transport a solution matrix along a path of Segments/Arcs.
+def loop_log_entry(cfg: PathConfig, k: int) -> complex:
+    """log(q_k - t_k) on the branch arg = theta_k, the one Psi0 uses."""
+    return math.log(cfg.radii[k]) + 1j * cfg.thetas[k]
+
+
+def continue_along(sys, y0, pieces, rtol: float, atol: float) -> np.ndarray:
+    """Transport a solution matrix along a path of Segments/Arcs, for an
+    Okubo or a Schlesinger system; the reference for the oracle's
+    ``transport``.
 
     The right-hand side sums the residues, stacked as an (r, n*n) array,
     with one BLAS product: sum_j R_j/(x - t_j) is a (1, r) by (r, n*n) dot.
@@ -267,6 +280,43 @@ def continue_along(sys, y0, pieces, rtol: float = 1e-11,
     return y
 
 
+def transport(sys: OkuboSystem, groups, rtol: float,
+              atol: float) -> list:
+    """Carry each group (Segment, n x N_c columns) to the end of its own
+    segment, all in one DOP853 solve; returns the columns per group.
+
+    Every segment is parametrised over s in [0, 1], so the groups stack into
+    one n x N state, and the right-hand side is the Okubo form
+    d_c diag(1/(x_c(s) - T)) (A @ Y), one product per evaluation.  DOP853
+    bounds the RMS error over the whole state, which lets a group of N_c
+    columns carry sqrt(N / N_c) times its solo error; rtol and atol are
+    divided by sqrt(N / min N_c), so that no group's own error norm exceeds
+    what its solo solve would accept.
+    """
+    widths = [cols.shape[1] for _, cols in groups]
+    y0 = np.hstack([cols for _, cols in groups]).astype(complex)
+    n, total = y0.shape
+    if total == 0:                      # r = 1: no column leaves block k
+        return [cols for _, cols in groups]
+    shrink = math.sqrt(total / min(w for w in widths if w))
+    start = np.array([seg.a for seg, _ in groups])
+    vel = np.array([seg.b - seg.a for seg, _ in groups])
+    owner = np.repeat(np.arange(len(groups)), widths)
+    t_col = sys.t_diag()[:, None]
+    a = sys.A
+
+    def rhs(s, vec):
+        w = vel / (start + s * vel - t_col)
+        return (w[:, owner] * (a @ vec.reshape(n, total))).reshape(-1)
+
+    sol = solve_ivp(rhs, (0.0, 1.0), y0.reshape(-1), method="DOP853",
+                    rtol=rtol / shrink, atol=atol / shrink)
+    if not sol.success:
+        raise StepFailure(f"continuation failed: {sol.message}")
+    y = sol.y[:, -1].reshape(n, total)
+    return np.split(y, np.cumsum(widths)[:-1], axis=1)
+
+
 # ---------------------------------------------------------------------------
 # canonical solution matrix and monodromy
 
@@ -287,19 +337,18 @@ def numeric_canonical_solution(sys: OkuboSystem, cfg: PathConfig,
     (one per t_k, as from local_series) is computed when not given."""
     if series is None:
         series = local_series(sys, cfg)
-    n = sys.n
-    psi = np.zeros((n, n), dtype=complex)
+    groups = []
     for k in range(sys.r):
         z = loop_entry(cfg, k)
-        log_z = math.log(cfg.radii[k]) + 1j * cfg.thetas[k]
-        cols = eval_local_block(sys, series[k], z, log_z)
-        qk = sys.points[k] + z
-        cols = continue_along(sys, cols, [Segment(qk, cfg.base_point)],
-                              rtol=cfg.rtol, atol=cfg.atol)
-        psi[:, sys.blocks.block_slice(k)] = cols
+        cols = eval_local_block(sys, series[k], z, loop_log_entry(cfg, k))
+        groups.append((Segment(sys.points[k] + z, cfg.base_point), cols))
+    psi = np.hstack(transport(sys, groups, cfg.rtol, cfg.atol))
     sv = np.linalg.svd(psi, compute_uv=False)
     if sv[-1] <= 1e-10 * max(1.0, sv[0]):
-        raise SingularPsi("canonical solution matrix is numerically singular")
+        raise SingularPsi(
+            f"canonical solution matrix is numerically singular: "
+            f"sigma_min = {sv[-1]:.3g}, sigma_max = {sv[0]:.3g}, "
+            f"sigma_min <= 1e-10 * max(1, sigma_max)")
     return psi
 
 
@@ -312,19 +361,32 @@ def numeric_monodromy(sys: OkuboSystem, cfg: PathConfig,
     (x - t_k)^{A_k} on the right by e(A_k) = exp(2 pi i A_k), which
     commutes with it.  With P = F(q_k)^{-1} Psi(q_k) = (q_k - t_k)^{A_k} C
     the circle takes Psi(q_k) to Psi(q_k) P^{-1} e(A_k) P, and the return
-    segment maps Psi(q_k) M_k to Psi(p0) M_k.  P and M_k are taken by
-    solves: forming F e(A_k) F^{-1} with an explicit inverse can lose a
-    decade more where F(q_k) is ill-conditioned.
+    segment maps Psi(q_k) M_k to Psi(p0) M_k.
+
+    P's block-k columns are known exactly, e_k (q_k - t_k)^{A_kk}, since
+    Psi0's block k was built from the same series at q_k; only the other
+    n - n_k columns of Psi0 travel, every loop's in one solve.  P and M_k
+    are taken by solves: forming F e(A_k) F^{-1} with an explicit inverse
+    can lose a decade more where F(q_k) is ill-conditioned.
     """
     series = local_series(sys, cfg, order)
     psi0 = numeric_canonical_solution(sys, cfg, series=series)
-    mats = []
+    n = sys.n
+    groups, masks = [], []
     for k in range(sys.r):
-        z = loop_entry(cfg, k)
-        psi_q = continue_along(sys, psi0,
-                               [Segment(cfg.base_point, sys.points[k] + z)],
-                               rtol=cfg.rtol, atol=cfg.atol)
-        p = np.linalg.solve(eval_factor(series[k], z), psi_q)
+        outside = np.ones(n, dtype=bool)
+        outside[sys.blocks.block_slice(k)] = False
+        q_k = sys.points[k] + loop_entry(cfg, k)
+        groups.append((Segment(cfg.base_point, q_k), psi0[:, outside]))
+        masks.append(outside)
+    carried = transport(sys, groups, cfg.rtol, cfg.atol)
+    mats = []
+    for k, (outside, cols) in enumerate(zip(masks, carried)):
+        sl_k = sys.blocks.block_slice(k)
+        p = np.zeros((n, n), dtype=complex)
+        p[sl_k, sl_k] = sla.expm(loop_log_entry(cfg, k) * sys.block(k, k))
+        p[:, outside] = np.linalg.solve(
+            eval_factor(series[k], loop_entry(cfg, k)), cols)
         e_k = sla.expm(2j * math.pi * sys.residue(k))
         mats.append(np.linalg.solve(p, e_k @ p))
     return MonodromyTuple(matrices=tuple(mats), config=cfg,
@@ -365,8 +427,8 @@ def numeric_determinant(sys: OkuboSystem, cfg: PathConfig, x: complex,
         psi0 = numeric_canonical_solution(sys, cfg)
     if x == cfg.base_point:
         return complex(np.linalg.det(psi0))
-    psi_x = continue_along(sys, psi0, [Segment(cfg.base_point, x)],
-                           rtol=cfg.rtol, atol=cfg.atol)
+    psi_x, = transport(sys, [(Segment(cfg.base_point, x), psi0)],
+                       cfg.rtol, cfg.atol)
     return complex(np.linalg.det(psi_x))
 
 

@@ -10,6 +10,7 @@ from okubo.core import (
     BlockStructure,
     OkuboSystem,
     SchlesingerSystem,
+    SingularPsi,
     StepFailure,
     default_config,
     e_of,
@@ -22,15 +23,22 @@ from okubo.verify import (
     continue_along,
     eval_local_block,
     frobenius_series,
+    loop_entry,
     loop_path,
     numeric_canonical_solution,
     numeric_connection,
     numeric_determinant,
     numeric_monodromy,
     ode_residual,
+    transport,
 )
 from okubo.yokoyama import canonical_system, sample_spec
-from okubo.connection import initial_connection, okubo_determinant
+from okubo.connection import (
+    assemble_monodromy,
+    closed_form_connection,
+    initial_connection,
+    okubo_determinant,
+)
 
 
 def diagonal_system(entries=(0.21 + 0.33j, -0.12 + 0.41j)):
@@ -177,7 +185,8 @@ def test_continuation_zero_field():
     sch = SchlesingerSystem(points=(0.0, 1.0),
                             residues=(np.zeros((2, 2)), np.zeros((2, 2))))
     y0 = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-    out = continue_along(sch, y0, [Segment(-1j, 2.0 - 1j)])
+    out = continue_along(sch, y0, [Segment(-1j, 2.0 - 1j)], rtol=1e-11,
+                         atol=1e-13)
     assert np.max(np.abs(out - y0)) < 1e-12
 
 
@@ -200,7 +209,7 @@ def test_contractible_loop_is_identity():
     loop = [Arc(center=p0, radius=0.2, arg0=0.0, arg1=2 * math.pi)]
     start = p0 + 0.2
     out = continue_along(sysm, y0, [Segment(p0, start)] + loop
-                         + [Segment(start, p0)])
+                         + [Segment(start, p0)], rtol=1e-11, atol=1e-13)
     assert np.max(np.abs(out - y0)) < 1e-9
 
 
@@ -238,9 +247,11 @@ def test_canonical_solution_columns_solve_ode():
     # independent derivative via central differences of the continuation
     h = 1e-5
     plus = continue_along(sysm, psi, [Segment(cfg.base_point,
-                                              cfg.base_point + h)])
+                                              cfg.base_point + h)],
+                          rtol=cfg.rtol, atol=cfg.atol)
     minus = continue_along(sysm, psi, [Segment(cfg.base_point,
-                                               cfg.base_point - h)])
+                                               cfg.base_point - h)],
+                           rtol=cfg.rtol, atol=cfg.atol)
     dpsi = (plus - minus) / (2 * h)
     assert ode_residual(sysm, cfg.base_point, psi, dpsi) < 1e-9
 
@@ -353,6 +364,80 @@ def test_monodromy_computes_each_series_once(monkeypatch):
     assert calls == [0, 1, 2]
 
 
+def test_monodromy_makes_two_ode_solves(monkeypatch):
+    # one solve carries every block to p0, one carries Psi0 to every q_k;
+    # groups of 1 of 5 and 4 of 20 columns both tighten rtol by sqrt(5)
+    import okubo.verify
+    calls = []
+    solve = okubo.verify.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["rtol"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(okubo.verify, "solve_ivp", counted)
+    sysm = canonical_system(sample_spec("I*", 5, np.random.default_rng(7)))
+    cfg = default_config(sysm.points)
+    numeric_monodromy(sysm, cfg)
+    assert calls == pytest.approx([cfg.rtol / math.sqrt(5)] * 2, rel=1e-12,
+                                  abs=0)
+
+
+def test_one_point_monodromy_is_e_of_a():
+    # r = 1: P is (q - t)^A exactly, no column leaves the block, and
+    # M = P^-1 e(A) P = e(A)
+    import scipy.linalg as sla
+    a = np.array([[0.2 + 0.3j, 0.1], [0.05, -0.1 + 0.4j]])
+    sysm = OkuboSystem(blocks=BlockStructure((2,)), points=(0.0,), A=a)
+    mon = numeric_monodromy(sysm, default_config(sysm.points))
+    want = sla.expm(2j * math.pi * a)
+    assert np.max(np.abs(mon.matrices[0] - want)) < 1e-12
+
+
+def test_batched_groups_match_solo_transport():
+    # a 1-column group stacked beside n-column groups, on three different
+    # segments of one solve, each against its solo continue_along
+    sysm = canonical_system(sample_spec("I*", 4, np.random.default_rng(3)))
+    cfg = default_config(sysm.points)
+    psi = numeric_canonical_solution(sysm, cfg)
+    p0 = cfg.base_point
+    q = [t + loop_entry(cfg, k) for k, t in enumerate(sysm.points)]
+    groups = [(Segment(p0, q[0]), psi[:, 1:2]),
+              (Segment(p0, q[3]), psi),
+              (Segment(q[1], p0 + 0.3), psi[:, ::-1])]
+    batched = transport(sysm, groups, rtol=1e-13, atol=1e-15)
+    for (seg, cols), got in zip(groups, batched):
+        want = continue_along(sysm, cols, [seg], rtol=1e-13, atol=1e-15)
+        assert got.shape == cols.shape
+        assert np.max(np.abs(got - want)) < 1e-9
+
+
+def test_block_k_columns_exact_at_hard_op():
+    # III n=6 at spec seed 1002 read 1.8e-6 when P's block-k columns came
+    # back from the round trip p0 -> q_k; exact, they read about 3e-8
+    spec = sample_spec("III", 6, np.random.default_rng(1002))
+    cfg = default_config(spec.points)
+    mon = numeric_monodromy(canonical_system(spec), cfg)
+    mon_cf = assemble_monodromy(closed_form_connection(spec, cfg), spec)
+    err = max(np.max(np.abs(a - b))
+              for a, b in zip(mon_cf.matrices, mon.matrices))
+    assert err < 1e-6
+
+
+def test_singular_psi_names_singular_values():
+    # alpha_1 - alpha_2 = 1 + 1e-5 passes the genericity check, but the two
+    # block-1 solutions at t_1 are nearly dependent
+    spec = sample_spec("II", 2, np.random.default_rng(1))
+    alpha = (spec.alpha[0], spec.alpha[0] - 1 - 1e-5)
+    rho = spec.rho[:-1] + (spec.rho[-1] + alpha[1] - spec.alpha[1],)
+    spec = replace(spec, alpha=alpha, rho=rho)
+    spec.check_genericity()
+    with pytest.raises(SingularPsi, match=r"sigma_min = \S+, sigma_max = "
+                       r"\S+, sigma_min <= 1e-10 \* max\(1, sigma_max\)"):
+        numeric_canonical_solution(canonical_system(spec),
+                                   default_config(spec.points))
+
+
 def tensordot_transport(sch, y0, pieces, rtol=1e-11, atol=1e-13):
     """Reference transport: DOP853 with the right-hand side summed by
     np.tensordot, as continue_along once did."""
@@ -398,8 +483,9 @@ def test_transport_bitwise_equals_tensordot_reference():
     sch = SchlesingerSystem(points=(0.0, 1.0, 2.5), residues=residues)
     y0 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     piece = [Segment(0.5 - 1.0j, 2.0 + 0.7j)]
-    assert np.array_equal(continue_along(sch, y0, piece),
-                          tensordot_transport(sch, y0, piece))
+    assert np.array_equal(
+        continue_along(sch, y0, piece, rtol=1e-11, atol=1e-13),
+        tensordot_transport(sch, y0, piece, rtol=1e-11, atol=1e-13))
 
 
 def test_composite_loop_consistency():
