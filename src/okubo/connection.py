@@ -4,10 +4,9 @@ formula, and the regularized beta factors.
 
 Sign conventions.  The overall signs and a few index patterns of these
 gamma-product formulas admit more than one plausible normalization; every
-default here was adjudicated entrywise against the numerical monodromy of
+choice here was adjudicated entrywise against the numerical monodromy of
 the canonical systems (module ``verify``) at several sizes and random
-generic exponents.  The type I* half-period ambiguity stays selectable via
-``istar_sign``.
+generic exponents, the type I* half-period convention included.
 """
 
 from __future__ import annotations
@@ -19,13 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    POLE_TOL,
     MonodromyTuple,
     NonDiagonalizable,
     PathConfig,
     PoleError,
     ShapeError,
+    SingularPoint,
+    _is_nonpositive_integer,
     branch_power,
-    default_config,
     e_of,
     gamma_c,
     gamma_ratio,
@@ -60,22 +61,14 @@ class ConnectionData:
 # ---------------------------------------------------------------------------
 # closed forms (verifier-adjudicated normalization)
 
-def closed_form_connection(spec: YokoyamaSpec, cfg: PathConfig | None = None,
-                           istar_sign: str = "theorem") -> ConnectionData:
-    """Evaluate every connection matrix from the gamma-product formulas.
-
-    ``istar_sign`` selects the type I* half-period convention: "theorem"
-    places e(-rho_1/2) on i<j, "derivation" the opposite assignment; the
-    numeric verifier confirms "theorem".
-    """
-    if cfg is None:
-        cfg = default_config(spec.points)
+def closed_form_connection(spec: YokoyamaSpec, cfg: PathConfig) -> ConnectionData:
+    """Evaluate every connection matrix from the gamma-product formulas."""
     spec.check_genericity()
     kind = spec.kind
     if kind == "I":
         return _connection_type_I(spec, cfg)
     if kind == "I*":
-        return _connection_type_Istar(spec, cfg, istar_sign)
+        return _connection_type_Istar(spec, cfg)
     return _connection_type_II_III(spec, cfg)
 
 
@@ -104,9 +97,9 @@ def _connection_type_I(spec, cfg):
     return ConnectionData({(0, 1): c, (1, 0): d}, cfg)
 
 
-def _connection_type_Istar(spec, cfg, istar_sign):
-    if istar_sign not in ("theorem", "derivation"):
-        raise ShapeError("istar_sign must be 'theorem' or 'derivation'")
+def _connection_type_Istar(spec, cfg):
+    # half-period e(-rho_1/2) on i < j: the numeric monodromy rejects the
+    # opposite assignment by more than 1e-2
     n, al = spec.n, spec.alpha
     r1 = spec.rho[0]
     bp = lambda i, j, x: branch_power(i, j, x, cfg)
@@ -115,10 +108,7 @@ def _connection_type_Istar(spec, cfg, istar_sign):
         for j in range(n):
             if i == j:
                 continue
-            if istar_sign == "theorem":
-                half = e_of(-r1 / 2) if i < j else e_of(r1 / 2)
-            else:
-                half = e_of(r1 / 2) if i < j else e_of(-r1 / 2)
+            half = e_of(-r1 / 2) if i < j else e_of(r1 / 2)
             val = (-half
                    * math.prod(bp(i, k, al[k] - r1) for k in range(n) if k != i)
                    / math.prod(bp(j, k, al[k] - r1) for k in range(n) if k != j)
@@ -209,7 +199,7 @@ def assemble_monodromy(conn: ConnectionData, spec: YokoyamaSpec) -> MonodromyTup
 # ---------------------------------------------------------------------------
 # regularized beta
 
-def regularized_beta(a, beta, tol: float = 1e-10) -> np.ndarray:
+def regularized_beta(a, beta) -> np.ndarray:
     """(e(A) - 1)(e(beta) - 1) B(A, beta) for a diagonal(izable) matrix A,
     computed entrywise on the eigenvalues."""
     a = np.asarray(a, dtype=complex)
@@ -222,7 +212,7 @@ def regularized_beta(a, beta, tol: float = 1e-10) -> np.ndarray:
                 * gamma_c(x) * gamma_c(beta) / gamma_c(x + beta))
 
     off = a - np.diag(np.diag(a))
-    if np.max(np.abs(off), initial=0.0) <= tol * max(1.0, np.max(np.abs(a))):
+    if np.max(np.abs(off), initial=0.0) <= 1e-10 * max(1.0, np.max(np.abs(a))):
         return np.diag([scalar(x) for x in np.diag(a)])
     w, v = np.linalg.eig(a)
     cond = np.linalg.cond(v)
@@ -234,27 +224,28 @@ def regularized_beta(a, beta, tol: float = 1e-10) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # determinant formula
 
-def okubo_determinant(spec: YokoyamaSpec, x, cfg: PathConfig | None = None) -> complex:
+def okubo_determinant(spec: YokoyamaSpec, x, cfg: PathConfig) -> complex:
     """Closed-form det Psi(x): gamma prefactor times the branch-tracked
-    powers prod_k (x - t_k)^(sum_j alpha^(k)_j).
+    powers prod_k (x - t_k)^(sum_j alpha^(k)_j); SingularPoint when x is
+    one of the t_k.
 
     The branch of arg(x - t_k) continues theta_k along the straight segment
     from the base point, matching the numeric determinant's continuation.
     """
-    if cfg is None:
-        cfg = default_config(spec.points)
     x = complex(x)
+    for k, t in enumerate(spec.points):
+        if x == t:
+            raise SingularPoint(f"x={x} coincides with the singular point "
+                                f"t_{k}; det Psi is not defined there")
     exps = spec.local_exponents()
     rhos = spec.rho_list()
     for r in rhos:
-        if abs(r.imag) < 1e-12 and r.real <= 0 and abs(r.real - round(r.real)) < 1e-12:
+        if _is_nonpositive_integer(r, POLE_TOL):
             raise PoleError("rho_i in Z_<=0: canonical matrix is singular")
     num = sum(lgamma_c(1 + a) for row in exps for a in row)
     den = sum(lgamma_c(1 + r) for r in rhos)
     out = cmath.exp(num - den)
     for k, t in enumerate(spec.points):
-        if x == t:
-            raise ShapeError("x must avoid the singular points")
         arg = cfg.thetas[k] + cmath.phase((x - t) / (cfg.base_point - t))
         logp = math.log(abs(x - t)) + 1j * arg
         out *= cmath.exp(sum(exps[k]) * logp)
@@ -326,13 +317,11 @@ def initial_connection(alpha1, alpha2, rho1, cfg: PathConfig) -> dict:
     return {"C1": c1, "D1": d1, "C11": c11, "D11": d11}
 
 
-def chain_connection(spec: YokoyamaSpec, cfg: PathConfig | None = None) -> RecurrenceState:
+def chain_connection(spec: YokoyamaSpec, cfg: PathConfig) -> RecurrenceState:
     """Transport the rank-2 initial data along the construction chain of the
     spec to its leading entries C and D."""
     from .yokoyama import _descend
 
-    if cfg is None:
-        cfg = default_config(spec.points)
     chain = _descend(spec)
     base = chain[0]["spec"]
     if base.kind == "I":
@@ -346,21 +335,17 @@ def chain_connection(spec: YokoyamaSpec, cfg: PathConfig | None = None) -> Recur
     return state
 
 
-def recurrence_connection(spec: YokoyamaSpec,
-                          cfg: PathConfig | None = None) -> ConnectionData:
+def recurrence_connection(spec: YokoyamaSpec, cfg: PathConfig) -> ConnectionData:
     """All connection matrices from the recurrences plus symmetry."""
     if spec.kind == "I*":
         raise ShapeError("type I* has no recurrence chain")
     return symmetry_extend(spec, cfg)
 
 
-def symmetry_extend(spec: YokoyamaSpec,
-                    cfg: PathConfig | None = None) -> ConnectionData:
+def symmetry_extend(spec: YokoyamaSpec, cfg: PathConfig) -> ConnectionData:
     """Fill entry (i, j) of C (and (j, i) of D) with the leading entries of
     the chain run on the spec with exponents 1 <-> i (and 1 <-> j)
     exchanged: the permutation-matrix symmetry of the canonical forms."""
-    if cfg is None:
-        cfg = default_config(spec.points)
     rows, cols = spec.blocks.sizes[0], spec.blocks.sizes[1]
     c = np.empty((rows, cols), dtype=complex)
     d = np.empty((cols, rows), dtype=complex)

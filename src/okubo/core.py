@@ -100,31 +100,31 @@ def _is_nonpositive_integer(z: complex, tol: float) -> bool:
     return m <= 0 and abs(z.real - m) <= tol
 
 
-def gamma_c(z, tol: float = POLE_TOL) -> complex:
+def gamma_c(z) -> complex:
     """Complex gamma function (scipy's).
 
-    Raises :class:`PoleError` when ``z`` is within ``tol`` of a
+    Raises :class:`PoleError` when ``z`` is within ``POLE_TOL`` of a
     non-positive integer.
     """
     z = complex(z)
-    if _is_nonpositive_integer(z, tol):
+    if _is_nonpositive_integer(z, POLE_TOL):
         raise PoleError(f"gamma pole at z = {z}")
     return complex(_gamma(z))
 
 
-def lgamma_c(z, tol: float = POLE_TOL) -> complex:
+def lgamma_c(z) -> complex:
     """A logarithm of Gamma(z) (branch unspecified; exact up to 2*pi*i*k).
 
     Only safe for forming gamma *ratios* exp(lgamma(a) - lgamma(b)), where
     the branch cancels.  Backed by scipy's loggamma.
     """
     z = complex(z)
-    if _is_nonpositive_integer(z, tol):
+    if _is_nonpositive_integer(z, POLE_TOL):
         raise PoleError(f"gamma pole at z = {z}")
     return complex(_loggamma(z))
 
 
-def gamma_ratio(num, den, tol: float = POLE_TOL) -> complex:
+def gamma_ratio(num, den) -> complex:
     """prod Gamma(a) over ``num`` / prod Gamma(b) over ``den``, computed as
     exp(sum logGamma(a) - sum logGamma(b)).
 
@@ -134,9 +134,9 @@ def gamma_ratio(num, den, tol: float = POLE_TOL) -> complex:
     """
     top = bottom = 0
     for a in num:
-        top += lgamma_c(a, tol)
+        top += lgamma_c(a)
     for b in den:
-        bottom += lgamma_c(b, tol)
+        bottom += lgamma_c(b)
     return cmath.exp(top - bottom)
 
 
@@ -264,8 +264,8 @@ def okubo_to_schlesinger(sys: OkuboSystem) -> SchlesingerSystem:
     )
 
 
-def schlesinger_to_okubo(sch: SchlesingerSystem, blocks: BlockStructure,
-                         tol: float = 1e-10) -> OkuboSystem:
+def schlesinger_to_okubo(sch: SchlesingerSystem,
+                         blocks: BlockStructure) -> OkuboSystem:
     """Assemble an Okubo system from residues that are block rows of a
     common matrix (the structure every K-reduction produces)."""
     if blocks.n != sch.n or blocks.r != sch.r:
@@ -275,7 +275,7 @@ def schlesinger_to_okubo(sch: SchlesingerSystem, blocks: BlockStructure,
     for k, res in enumerate(sch.residues):
         mask = np.ones((sch.n, sch.n), dtype=bool)
         mask[blocks.block_slice(k), :] = False
-        if matrix_scale(np.where(mask, res, 0.0)) > tol * scale:
+        if matrix_scale(np.where(mask, res, 0.0)) > 1e-10 * scale:
             raise StructureError(
                 f"residue {k} is not supported on block row {k}")
     return OkuboSystem(blocks=blocks, points=sch.points, A=a)
@@ -302,9 +302,10 @@ class ExponentProfile:
         s = sum(sum(row) for row in self.local) - sum(self.infinity)
         return abs(s)
 
-    def is_generic(self, tol: float = 1e-8) -> bool:
+    def is_generic(self) -> bool:
         """Paper-style genericity: no local exponent in Z, no pair of local
-        exponents at one point with a nonzero integer difference."""
+        exponents at one point with a nonzero integer difference (at 1e-8)."""
+        tol = 1e-8
         for row in self.local:
             for a in row:
                 if _near_integer(a, tol):
@@ -348,7 +349,6 @@ class PathConfig:
     thetas: tuple
     radii: tuple
     rtol: float = 1e-12
-    atol: float = 1e-14
     series_tol: float = 1e-13
     max_order: int = 200
 
@@ -358,6 +358,11 @@ class PathConfig:
         object.__setattr__(self, "thetas", tuple(float(t) for t in self.thetas))
         object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
         self._validate()
+
+    @property
+    def atol(self) -> float:
+        """The transports' absolute tolerance, derived from rtol."""
+        return self.rtol * 1e-2
 
     def _validate(self):
         p0, pts = self.base_point, self.points
@@ -626,16 +631,16 @@ def config_to_json(cfg: PathConfig) -> dict:
         "thetas": list(cfg.thetas),
         "radii": list(cfg.radii),
         "rtol": cfg.rtol,
-        "atol": cfg.atol,
         "series_tol": cfg.series_tol,
         "max_order": cfg.max_order,
     }
 
 
 def config_from_json(d) -> PathConfig:
-    """Keys that d lacks take the PathConfig defaults."""
-    controls = {key: d[key] for key in ("rtol", "atol", "series_tol",
-                                        "max_order") if key in d}
+    """Keys that d lacks take the PathConfig defaults; atol is derived from
+    rtol, so an "atol" key is ignored."""
+    controls = {key: d[key] for key in ("rtol", "series_tol", "max_order")
+                if key in d}
     return PathConfig(
         points=tuple(complex_from_json(t) for t in d["points"]),
         base_point=complex_from_json(d["base_point"]),

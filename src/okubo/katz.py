@@ -47,14 +47,13 @@ class ReductionWitness:
     q0: np.ndarray | None = None
     s0: np.ndarray | None = None
     m: int = 0                          # rank of the L-reduction
-    tol: float = FACTOR_TOL
 
     def to_json(self) -> dict:
         return {
             "parameter": [complex(self.parameter).real, complex(self.parameter).imag],
             "ranks": list(self.ranks),
             "m": self.m,
-            "tol": self.tol,
+            "tol": FACTOR_TOL,
             "P": [matrix_to_json(p) for p in self.factors_p],
             "Q": [matrix_to_json(q) for q in self.factors_q],
             "P0": matrix_to_json(self.p0) if self.p0 is not None else None,
@@ -135,10 +134,10 @@ def convolve_system(sys: SchlesingerSystem, mu) -> OkuboSystem:
     )
 
 
-def _factor_residues(sys: SchlesingerSystem, tol: float):
+def _factor_residues(sys: SchlesingerSystem):
     ps, qs, ranks = [], [], []
     for a in sys.residues:
-        p, q, rk = rank_factorization(a, tol)
+        p, q, rk = rank_factorization(a, FACTOR_TOL)
         ps.append(p)
         qs.append(q)
         ranks.append(rk)
@@ -177,13 +176,13 @@ def k_reduce_system(conv: OkuboSystem, w: ReductionWitness) -> SchlesingerSystem
     return SchlesingerSystem(points=conv.points, residues=tuple(residues))
 
 
-def l_reduce_system(ksys: SchlesingerSystem, mu, tol: float = FACTOR_TOL):
+def l_reduce_system(ksys: SchlesingerSystem):
     """L-reduction: B-hat_k = Q_0 E_k P_0 from B-tilde = P_0 Q_0.
 
     Returns (SchlesingerSystem, (P0, Q0, S0, m)).
     """
     bt = sum(ksys.residues)
-    p0, q0, m = rank_factorization(bt, tol)
+    p0, q0, m = rank_factorization(bt, FACTOR_TOL)
     res = matrix_scale(bt - p0 @ q0)
     if res > 1e-8 * max(1.0, matrix_scale(bt)):
         raise RankError(f"L-reduction factor residual too large: {res}")
@@ -200,15 +199,15 @@ def l_reduce_system(ksys: SchlesingerSystem, mu, tol: float = FACTOR_TOL):
     )
 
 
-def middle_convolution_system(sys: SchlesingerSystem, mu, tol: float = FACTOR_TOL):
+def middle_convolution_system(sys: SchlesingerSystem, mu):
     """mc_mu: convolution, K-reduction, L-reduction; returns (system, witness)."""
     mu = complex(mu)
-    ps, qs, ranks = _factor_residues(sys, tol)
+    ps, qs, ranks = _factor_residues(sys)
     w = ReductionWitness(parameter=mu, factors_p=ps, factors_q=qs,
-                         ranks=ranks, tol=tol)
+                         ranks=ranks)
     conv = convolve_system(sys, mu)
     ksys = k_reduce_system(conv, w)
-    lsys, (p0, q0, s0, m) = l_reduce_system(ksys, mu, tol)
+    lsys, (p0, q0, s0, m) = l_reduce_system(ksys)
     w.p0, w.q0, w.s0, w.m = p0, q0, s0, m
     return lsys, w
 
@@ -239,7 +238,7 @@ def convolve_monodromy(mon: MonodromyTuple, lam) -> MonodromyTuple:
                           blocks=BlockStructure((n,) * r))
 
 
-def middle_convolution_monodromy(mon: MonodromyTuple, lam, tol: float = FACTOR_TOL):
+def middle_convolution_monodromy(mon: MonodromyTuple, lam):
     """MC_lambda: K-reduction by M_k - 1 = P_k Q_k, then L-reduction by
     N0-tilde = N1-tilde ... Nr-tilde.  Returns (tuple, witness)."""
     lam = complex(lam)
@@ -249,12 +248,12 @@ def middle_convolution_monodromy(mon: MonodromyTuple, lam, tol: float = FACTOR_T
     eye = np.eye(n, dtype=complex)
     ps, qs, ranks = [], [], []
     for m in mon.matrices:
-        p, q, rk = rank_factorization(m - eye, tol)
+        p, q, rk = rank_factorization(m - eye, FACTOR_TOL)
         ps.append(p)
         qs.append(q)
         ranks.append(rk)
     w = ReductionWitness(parameter=lam, factors_p=ps, factors_q=qs,
-                         ranks=ranks, tol=tol)
+                         ranks=ranks)
     keep = [i for i in range(r) if ranks[i] > 0]
     nt = sum(ranks)
     offs = np.concatenate([[0], np.cumsum([ranks[i] for i in keep])])
@@ -277,7 +276,7 @@ def middle_convolution_monodromy(mon: MonodromyTuple, lam, tol: float = FACTOR_T
     n0 = np.eye(nt, dtype=complex)
     for nk in n_tildes:
         n0 = n0 @ nk
-    p0, q0, m = rank_factorization(n0 - np.eye(nt), tol)
+    p0, q0, m = rank_factorization(n0 - np.eye(nt), FACTOR_TOL)
     s0 = right_inverse(q0) if m > 0 else np.zeros((nt, 0), complex)
     w.p0, w.q0, w.s0, w.m = p0, q0, s0, m
     reduced = [q0 @ nk @ s0 for nk in n_tildes]
@@ -295,43 +294,42 @@ def middle_convolution_monodromy(mon: MonodromyTuple, lam, tol: float = FACTOR_T
 # ---------------------------------------------------------------------------
 # rank-one (rank-l) complements: X_ij = X_ik X_kk^{-1} X_kj + xi_i eta_j
 
-def complement_factorization(x, blocks: BlockStructure, k: int,
-                             tol: float = FACTOR_TOL):
+def schur_complement(x: np.ndarray, blocks: BlockStructure, k: int):
+    """X_oo - X_ok X_kk^{-1} X_ko, with o running over the blocks other
+    than k in order (at least one)."""
+    idx = np.arange(blocks.n)
+    sl_k = blocks.block_slice(k)
+    others = np.concatenate([idx[blocks.block_slice(i)]
+                             for i in range(blocks.r) if i != k])
+    return (x[np.ix_(others, others)]
+            - x[np.ix_(others, idx[sl_k])]
+            @ np.linalg.solve(x[sl_k, sl_k], x[np.ix_(idx[sl_k], others)]))
+
+
+def complement_factorization(x, blocks: BlockStructure, k: int):
     """Factor the Schur complement of block k of X as xi eta.
 
     Returns (xi, eta, l) with xi of shape (n - n_k, l) and eta (l, n - n_k),
-    both of maximal rank, where l = rank X - n_k.  Raises SingularBlock if
-    X_kk is singular at tolerance, RankError if rank X < n_k.
+    both of maximal rank, l the rank of the complement at FACTOR_TOL.
+    Raises SingularBlock if X_kk is singular at tolerance, RankError if
+    rank X < n_k.
     """
     x = as_cmatrix(x)
-    n = blocks.n
-    if x.shape != (n, n):
+    if x.shape != (blocks.n, blocks.n):
         raise ShapeError("X must match the block structure")
-    sl_k = blocks.block_slice(k)
-    xkk = x[sl_k, sl_k]
+    xkk = x[blocks.block_slice(k), blocks.block_slice(k)]
     scale = max(1.0, matrix_scale(x))
-    if numerical_rank(xkk, tol) < blocks.sizes[k] or \
-            np.linalg.svd(xkk, compute_uv=False)[-1] <= tol * scale:
+    if numerical_rank(xkk, FACTOR_TOL) < blocks.sizes[k] or \
+            np.linalg.svd(xkk, compute_uv=False)[-1] <= FACTOR_TOL * scale:
         raise SingularBlock(f"X_kk singular at tolerance for k={k}")
-    rank_x = numerical_rank(x, tol)
-    if rank_x < blocks.sizes[k]:
+    if numerical_rank(x, FACTOR_TOL) < blocks.sizes[k]:
         raise RankError("rank X < n_k")
-    others = np.concatenate([np.arange(n)[blocks.block_slice(i)]
-                             for i in range(blocks.r) if i != k]) \
-        if blocks.r > 1 else np.array([], dtype=int)
-    if others.size == 0:
+    if blocks.r == 1:
         return (np.zeros((0, 0), complex), np.zeros((0, 0), complex), 0)
-    xoo = x[np.ix_(others, others)]
-    xok = x[np.ix_(others, np.arange(n)[sl_k])]
-    xko = x[np.ix_(np.arange(n)[sl_k], others)]
-    schur = xoo - xok @ np.linalg.solve(xkk, xko)
-    xi, eta, l = rank_factorization(schur, tol)
-    if l != rank_x - blocks.sizes[k]:
-        # fall back on the Schur rank itself; the identity below is what
-        # callers rely on, and the two agree except at threshold boundaries
-        l = xi.shape[1]
+    schur = schur_complement(x, blocks, k)
+    xi, eta, l = rank_factorization(schur, FACTOR_TOL)
     res = matrix_scale(schur - xi @ eta)
-    if res > max(tol, 1e-9) * scale:
+    if res > FACTOR_TOL * scale:
         raise RankError(f"complement factorization residual {res}")
     return xi, eta, l
 
@@ -362,8 +360,7 @@ def split_cols(m: np.ndarray, blocks: BlockStructure, skip: int):
 # ---------------------------------------------------------------------------
 # middle convolution with additions at a singular point (system version)
 
-def mc_add_system(sys: OkuboSystem, k: int, c, rho, xi_eta=None,
-                  tol: float = KERNEL_TOL):
+def mc_add_system(sys: OkuboSystem, k: int, c, rho, xi_eta=None):
     """add_(0..rho..0) o mc_(-rho-c) o add_(0..c..0) at point k, assembled
     directly in Okubo form.  Returns (OkuboSystem, McAddWitness).
 
@@ -381,19 +378,18 @@ def mc_add_system(sys: OkuboSystem, k: int, c, rho, xi_eta=None,
     # A_k is zero outside block row k, so det(A_k + c) = c^(n - n_k)
     # det(A_kk + c): the kernel is trivial iff c != 0 and -c is no
     # eigenvalue of A_kk
-    bound = tol * max(1.0, matrix_scale(akk))
+    bound = KERNEL_TOL * max(1.0, matrix_scale(akk))
     eig_gap = float(np.min(np.abs(np.linalg.eigvals(akk) + c)))
     for name, gap in (("|c|", abs(c)), ("min|eig(A_kk) + c|", eig_gap)):
         if gap <= bound:
             raise KernelError(f"Ker(A_k + c) != 0: {name} = {gap:.3e} "
                               f"<= {bound:.3e}")
     if np.linalg.svd(akk - rho * np.eye(blocks.sizes[k]),
-                     compute_uv=False)[-1] <= tol * scale:
+                     compute_uv=False)[-1] <= KERNEL_TOL * scale:
         raise KernelError("Ker(A_kk - rho) != 0")
 
     if xi_eta is None:
-        xi, eta, l = complement_factorization(
-            a - rho * np.eye(n), blocks, k, tol=min(tol, FACTOR_TOL))
+        xi, eta, l = complement_factorization(a - rho * np.eye(n), blocks, k)
     else:
         xi, eta = (as_cmatrix(xi_eta[0]), as_cmatrix(xi_eta[1]))
         l = xi.shape[1]
@@ -465,8 +461,7 @@ def is_okubo_type(mon: MonodromyTuple, blocks: BlockStructure,
 
 
 def mc_add_monodromy(mon: MonodromyTuple, blocks: BlockStructure, k: int,
-                     s, lam, xi_eta=None, tol: float = KERNEL_TOL,
-                     structure_tol: float = 1e-9):
+                     s, lam):
     """Add_(1..1/lam..1) o MC_(lam/s) o Add_(1..s..1) on an Okubo-type tuple,
     assembled directly in Okubo-type form.  Returns (tuple, witness).
 
@@ -476,7 +471,7 @@ def mc_add_monodromy(mon: MonodromyTuple, blocks: BlockStructure, k: int,
     s, lam = complex(s), complex(lam)
     if s == 0 or lam == 0:
         raise ZeroScalar("s and lambda must be nonzero")
-    if not is_okubo_type(mon, blocks, tol=structure_tol):
+    if not is_okubo_type(mon, blocks):
         raise StructureError("input tuple is not of Okubo type")
     n, r = mon.n, mon.r
     if not 0 <= k < r:
@@ -493,14 +488,9 @@ def mc_add_monodromy(mon: MonodromyTuple, blocks: BlockStructure, k: int,
     sl_k = blocks.block_slice(k)
     xkk = x[sl_k, sl_k]
     scale = max(1.0, matrix_scale(x))
-    if np.linalg.svd(xkk, compute_uv=False)[-1] <= tol * scale:
+    if np.linalg.svd(xkk, compute_uv=False)[-1] <= KERNEL_TOL * scale:
         raise SingularBlock("M^(k)_kk - 1 singular at tolerance")
-    if xi_eta is None:
-        xi, eta, l = complement_factorization(x, blocks, k,
-                                              tol=min(tol, FACTOR_TOL))
-    else:
-        xi, eta = as_cmatrix(xi_eta[0]), as_cmatrix(xi_eta[1])
-        l = xi.shape[1]
+    xi, eta, l = complement_factorization(x, blocks, k)
 
     new_sizes = list(blocks.sizes)
     new_sizes[k] = nk + l

@@ -116,8 +116,8 @@ def frobenius_series(sys: OkuboSystem, k: int, order: int,
     return series
 
 
-def adaptive_series(sys: OkuboSystem, k: int, r_eval: float,
-                    tol: float = 1e-13, cap: int = 200) -> LocalSeries:
+def adaptive_series(sys: OkuboSystem, k: int, r_eval: float, *,
+                    tol: float, cap: int) -> LocalSeries:
     """Grow the series in place, ``step`` orders at a time, until its last
     three terms at radius r_eval are at most tol; StepFailure if that does
     not happen within ``cap`` orders."""
@@ -204,11 +204,11 @@ class LoopPath:
     k: int
     pieces: list
 
-    def winding_numbers(self, points, samples: int = 400) -> list:
-        """Total winding around each singular point (sampled)."""
+    def winding_numbers(self, points) -> list:
+        """Total winding around each singular point (400 samples a piece)."""
         zs = []
         for piece in self.pieces:
-            for s in np.linspace(0.0, 1.0, samples, endpoint=False):
+            for s in np.linspace(0.0, 1.0, 400, endpoint=False):
                 zs.append(piece.at(float(s)))
         zs.append(self.pieces[0].at(0.0))
         out = []
@@ -280,6 +280,10 @@ def continue_along(sys, y0, pieces, rtol: float, atol: float) -> np.ndarray:
     return y
 
 
+# scipy's solve_ivp raises any smaller rtol to this, with only a warning
+RTOL_FLOOR = 100 * np.finfo(float).eps
+
+
 def transport(sys: OkuboSystem, groups, rtol: float,
               atol: float) -> list:
     """Carry each group (Segment, n x N_c columns) to the end of its own
@@ -291,7 +295,8 @@ def transport(sys: OkuboSystem, groups, rtol: float,
     bounds the RMS error over the whole state, which lets a group of N_c
     columns carry sqrt(N / N_c) times its solo error; rtol and atol are
     divided by sqrt(N / min N_c), so that no group's own error norm exceeds
-    what its solo solve would accept.
+    what its solo solve would accept.  StepFailure when that puts rtol below
+    DOP853's floor 100 eps, which scipy would silently raise it to.
     """
     widths = [cols.shape[1] for _, cols in groups]
     y0 = np.hstack([cols for _, cols in groups]).astype(complex)
@@ -299,6 +304,11 @@ def transport(sys: OkuboSystem, groups, rtol: float,
     if total == 0:                      # r = 1: no column leaves block k
         return [cols for _, cols in groups]
     shrink = math.sqrt(total / min(w for w in widths if w))
+    if rtol / shrink < RTOL_FLOOR:
+        raise StepFailure(
+            f"rtol {rtol:g} over the group shrink {shrink:.4g} is "
+            f"{rtol / shrink:.3g}, below DOP853's floor 100*eps = "
+            f"{RTOL_FLOOR:.3g}")
     start = np.array([seg.a for seg, _ in groups])
     vel = np.array([seg.b - seg.a for seg, _ in groups])
     owner = np.repeat(np.arange(len(groups)), widths)
@@ -415,16 +425,14 @@ def numeric_connection(sys: OkuboSystem, cfg: PathConfig,
 
 
 def numeric_determinant(sys: OkuboSystem, cfg: PathConfig, x: complex,
-                        psi0: np.ndarray | None = None) -> complex:
-    """det Psi(x), continued from p0 along the straight segment;
+                        psi0: np.ndarray) -> complex:
+    """det Psi(x), continued from Psi0 = Psi(p0) along the straight segment;
     SingularPoint when x is one of the t_k."""
     x = complex(x)
     for k, t in enumerate(sys.points):
         if x == t:
             raise SingularPoint(f"x={x} coincides with the singular point "
                                 f"t_{k}; det Psi is not defined there")
-    if psi0 is None:
-        psi0 = numeric_canonical_solution(sys, cfg)
     if x == cfg.base_point:
         return complex(np.linalg.det(psi0))
     psi_x, = transport(sys, [(Segment(cfg.base_point, x), psi0)],

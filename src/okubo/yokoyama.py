@@ -24,7 +24,7 @@ from .core import (
     complex_to_json,
     schlesinger_to_okubo,
 )
-from .katz import mc_add_system, middle_convolution_system
+from .katz import mc_add_system, middle_convolution_system, schur_complement
 
 KINDS = ("I", "I*", "II", "III")
 GENERIC_TOL = 1e-8
@@ -382,17 +382,8 @@ def xieta_matrix_expression(spec: YokoyamaSpec, rho=None) -> np.ndarray:
     A_cc - rho - A_ck (A_kk - rho)^{-1} A_kc over the complementary block."""
     sysm = canonical_system(spec)
     k = chain_block_index(spec)
-    blocks = spec.blocks
     rho = complex(rho) if rho is not None else spec.rho[1]
-    x = sysm.A - rho * np.eye(spec.rank)
-    sl_k = blocks.block_slice(k)
-    other = [i for i in range(blocks.r) if i != k]
-    idx = np.concatenate([np.arange(spec.rank)[blocks.block_slice(i)]
-                          for i in other])
-    xkk = x[sl_k, sl_k]
-    return (x[np.ix_(idx, idx)]
-            - x[np.ix_(idx, np.arange(spec.rank)[sl_k])]
-            @ np.linalg.solve(xkk, x[np.ix_(np.arange(spec.rank)[sl_k], idx)]))
+    return schur_complement(sysm.A - rho * np.eye(spec.rank), spec.blocks, k)
 
 
 def chain_block_index(spec: YokoyamaSpec) -> int:

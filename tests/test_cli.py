@@ -1,11 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from okubo.cli import main, parse_complex, parse_complex_list
-from okubo.core import (load_json, matrix_from_json, okubo_from_json,
-                        okubo_to_json)
+from okubo.core import (default_config, load_json, matrix_from_json,
+                        okubo_from_json, okubo_to_json)
 from okubo.yokoyama import sample_spec, canonical_system
 
 
@@ -125,7 +126,8 @@ def test_monodromy_closed_form_matches_library(tmp_path):
     data = load_json(out)
     from okubo.connection import assemble_monodromy, closed_form_connection
     spec = sample_spec("II", 2, np.random.default_rng(6))
-    mon = assemble_monodromy(closed_form_connection(spec), spec)
+    mon = assemble_monodromy(
+        closed_form_connection(spec, default_config(spec.points)), spec)
     got = matrix_from_json(data["closed_form"][0])
     assert np.max(np.abs(got - mon.matrices[0])) < 1e-12
 
@@ -162,6 +164,30 @@ def test_det_check(tmp_path):
                 "-o", str(out)]) == 0
     data = load_json(out)
     assert data["passed"] and len(data["checks"]) == 3
+
+
+def test_det_check_and_verify_report_the_same_determinant(tmp_path):
+    # both draw their three points from --seed before anything else
+    spec = ["--type", "II", "--n", "2", "--seed", "4"]
+    assert run(["det-check", *spec, "-o", str(tmp_path / "d.json")]) == 0
+    assert run(["verify", *spec, "-o", str(tmp_path / "v.json")]) == 0
+    dets = [c["residual"] for c in load_json(tmp_path / "d.json")["checks"]]
+    got, = [c["residual"] for c in load_json(tmp_path / "v.json")["checks"]
+            if c["name"] == "okubo_determinant"]
+    assert len(dets) == 3 and got == max(dets)
+
+
+def test_verify_fails_on_nan_determinant_residual(tmp_path, monkeypatch):
+    # an infinite closed form gives inf/inf = nan, which must not read as 0
+    import okubo.cli
+    monkeypatch.setattr(okubo.cli, "okubo_determinant",
+                        lambda spec, x, cfg: complex(math.inf, 0.0))
+    out = tmp_path / "v.json"
+    assert run(["verify", "--type", "II", "--n", "1", "--seed", "9",
+                "-o", str(out)]) == 1
+    det, = [c for c in load_json(out)["checks"]
+            if c["name"] == "okubo_determinant"]
+    assert math.isnan(det["residual"]) and not det["passed"]
 
 
 def test_verify_pass_and_exit_codes(tmp_path):

@@ -101,3 +101,30 @@ def test_margin_digits_matches_benchmark():
                 float("nan")):
         assert compare_ops.margin_digits(res, TOL) == \
             workloads.margin_digits(res, TOL)
+
+
+def test_default_runs_every_workload_at_its_rule_seeds(monkeypatch, capsys):
+    calls = []
+
+    def fake_run_tree(tree, workload, seeds):
+        calls.append((tree.name, workload, list(seeds)))
+        if tree.name == "b" and workload == "formulas":
+            flipped, moved, same = KEYS[1]
+            return {1: [flipped, moved, (same[0], "check_fail") + same[2:]]}
+        return KEYS
+
+    monkeypatch.setattr(compare_ops, "run_tree", fake_run_tree)
+    assert compare_ops.main(["a", "b"]) == 1
+    assert calls == [(tree, w, s) for w, s in (
+        ("verify-rank", [1, 2, 3, 7, 9]), ("verify-points", [1, 2, 3]),
+        ("formulas", [1, 2])) for tree in ("a", "b")]
+    out = capsys.readouterr().out
+    assert out.count("all 3 keys identical") == 2
+    assert "FLIP seed 1 verify:I:4:1: pass -> check_fail" in out
+    calls.clear()
+    assert compare_ops.main(["a", "b", "--workload", "verify-points"]) == 0
+    assert calls == [("a", "verify-points", [1, 2, 3]),
+                     ("b", "verify-points", [1, 2, 3])]
+    assert compare_ops.main(["a", "b", "--seeds", "5"]) == 1
+    assert {(w, tuple(s)) for _, w, s in calls[2:]} == {
+        ("verify-rank", (5,)), ("verify-points", (5,)), ("formulas", (5,))}

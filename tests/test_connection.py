@@ -7,6 +7,7 @@ import pytest
 from okubo.core import (
     PoleError,
     ShapeError,
+    SingularPoint,
     branch_power,
     default_config,
     e_of,
@@ -91,7 +92,7 @@ def test_seed_product_invariant_under_point_rescaling():
 def test_closed_form_entries_finite_nonzero():
     for kind, n in [("I", 4), ("I*", 3), ("II", 2), ("III", 2)]:
         spec = sample_spec(kind, n, np.random.default_rng(2))
-        conn = closed_form_connection(spec)
+        conn = closed_form_connection(spec, default_config(spec.points))
         for m in conn.matrices.values():
             assert np.all(np.isfinite(m))
             assert np.all(np.abs(m) > 0)
@@ -129,19 +130,22 @@ def test_closed_form_matches_numeric_nondefault_points():
 
 def test_istar_sign_adjudication():
     """Exactly one of the two candidate half-period conventions matches the
-    numeric connection coefficients."""
+    numeric connection coefficients: the theorem's e(-rho_1/2) on i < j,
+    not the opposite e(rho_1/2), i.e. entry (i, j) times e(+-rho_1)."""
     spec = sample_spec("I*", 3, np.random.default_rng(4))
     cfg = default_config(spec.points)
     sysm = canonical_system(spec)
     num = numeric_connection(sysm, cfg)
+    theorem = closed_form_connection(spec, cfg).matrices
+    r1 = spec.rho[0]
+    derivation = {(i, j): m * e_of(r1 if i < j else -r1)
+                  for (i, j), m in theorem.items()}
 
-    def err(sign):
-        conn = closed_form_connection(spec, cfg, istar_sign=sign)
-        return max(np.max(np.abs(conn[key] - num[key]))
-                   for key in conn.matrices)
+    def err(conn):
+        return max(np.max(np.abs(conn[key] - num[key])) for key in conn)
 
-    assert err("theorem") < 1e-8
-    assert err("derivation") > 1e-2
+    assert err(theorem) < 1e-8
+    assert err(derivation) > 1e-2
 
 
 def test_assemble_monodromy_shapes_and_trivial_case():
@@ -178,7 +182,8 @@ def test_assemble_hgem_diagonal_conjugacy():
 def test_product_spectrum_is_e_rho():
     for kind, n in [("I", 3), ("II", 2), ("III", 2)]:
         spec = sample_spec(kind, n, np.random.default_rng(7))
-        mon = assemble_monodromy(closed_form_connection(spec), spec)
+        mon = assemble_monodromy(
+            closed_form_connection(spec, default_config(spec.points)), spec)
         got = np.sort_complex(np.linalg.eigvals(mon.product()))
         want = np.sort_complex(np.array([e_of(r) for r in spec.rho_list()]))
         assert np.max(np.abs(got - want)) < 1e-8
@@ -187,7 +192,8 @@ def test_product_spectrum_is_e_rho():
 def test_block_determinant_identity():
     # det(M_k) = prod_j e(alpha^(k)_j)
     spec = sample_spec("III", 2, np.random.default_rng(8))
-    mon = assemble_monodromy(closed_form_connection(spec), spec)
+    mon = assemble_monodromy(
+        closed_form_connection(spec, default_config(spec.points)), spec)
     exps = spec.local_exponents()
     for k, m in enumerate(mon.matrices):
         want = np.prod([e_of(a) for a in exps[k]])
@@ -297,6 +303,13 @@ def test_determinant_ratio_cancels_prefactor():
     for k, t in enumerate(spec.points):
         want *= ((x1 - t) / (x2 - t)) ** sum(exps[k])
     assert abs(ratio - want) < 1e-10 * abs(want)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_determinant_at_singular_point_names_it(k):
+    spec = sample_spec("II", 2, np.random.default_rng(1))
+    with pytest.raises(SingularPoint, match=f"singular point t_{k}"):
+        okubo_determinant(spec, spec.points[k], default_config(spec.points))
 
 
 def test_determinant_pole_guard():

@@ -318,17 +318,24 @@ def test_config_and_monodromy_json_roundtrip(cfg01):
 
 def test_transport_defaults_come_from_path_config(cfg01):
     # default_config and a JSON config without the integration controls both
-    # take the PathConfig field defaults, written in one place
+    # take the PathConfig field defaults, written in one place; atol is no
+    # field but rtol * 1e-2, and a JSON "atol" is ignored
     from dataclasses import fields
     defaults = {f.name: f.default for f in fields(PathConfig)
-                if f.name in ("rtol", "atol", "series_tol", "max_order")}
-    assert defaults["atol"] == defaults["rtol"] * 1e-2
+                if f.name in ("rtol", "series_tol", "max_order")}
+    assert len(defaults) == 3
+    assert "atol" not in {f.name for f in fields(PathConfig)}
     d = config_to_json(cfg01)
+    assert "atol" not in d
     for key in defaults:
         del d[key]
     for cfg in (cfg01, default_config((0.0, 1.0, 2.5)), config_from_json(d)):
         for key, want in defaults.items():
             assert getattr(cfg, key) == want
+        assert cfg.atol == cfg.rtol * 1e-2 == 1e-14
+    tight = config_from_json({**config_to_json(cfg01), "rtol": 1e-13,
+                              "atol": 1.0})
+    assert tight.atol == 1e-13 * 1e-2
 
 
 def test_json_file_roundtrip(tmp_path):

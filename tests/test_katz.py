@@ -158,7 +158,7 @@ def test_l_reduction_full_rank_similarity():
     conv = convolve_system(sch, mu)
     _, w = middle_convolution_system(sch, mu)
     ksys = k_reduce_system(conv, w)
-    lsys, (p0, q0, s0, m) = l_reduce_system(ksys, mu)
+    lsys, (p0, q0, s0, m) = l_reduce_system(ksys)
     assert m == ksys.n
     for a, b in zip(lsys.residues, ksys.residues):
         assert np.max(np.abs(sorted_eigs(a) - sorted_eigs(b))) < 1e-8
@@ -167,7 +167,7 @@ def test_l_reduction_full_rank_similarity():
 def test_l_reduction_zero_system():
     ksys = SchlesingerSystem(points=(0.0, 1.0),
                              residues=(np.zeros((2, 2)), np.zeros((2, 2))))
-    lsys, (_, _, _, m) = l_reduce_system(ksys, 0.5)
+    lsys, (_, _, _, m) = l_reduce_system(ksys)
     assert m == 0 and lsys.n == 0
 
 

@@ -130,7 +130,8 @@ def test_series_ode_residual_hypergeometric():
     for sysm in systems:
         cfg = default_config(sysm.points)
         for k in range(sysm.r):
-            series = adaptive_series(sysm, k, cfg.radii[k], tol=1e-15)
+            series = adaptive_series(sysm, k, cfg.radii[k], tol=1e-15,
+                                     cap=cfg.max_order)
             fresh = frobenius_series(sysm, k, series.order)
             assert all(np.array_equal(a, b)
                        for a, b in zip(series.coeffs, fresh.coeffs))
@@ -260,7 +261,8 @@ def test_determinant_matches_formula_hge():
     spec = sample_spec("II", 1, np.random.default_rng(4))
     sysm = canonical_system(spec)
     cfg = default_config(spec.points)
-    dn = numeric_determinant(sysm, cfg, cfg.base_point)
+    dn = numeric_determinant(sysm, cfg, cfg.base_point,
+                             numeric_canonical_solution(sysm, cfg))
     dc = okubo_determinant(spec, cfg.base_point, cfg)
     assert abs(dn - dc) < 1e-8 * abs(dc)
 
@@ -381,6 +383,25 @@ def test_monodromy_makes_two_ode_solves(monkeypatch):
     numeric_monodromy(sysm, cfg)
     assert calls == pytest.approx([cfg.rtol / math.sqrt(5)] * 2, rel=1e-12,
                                   abs=0)
+
+
+def test_rtol_below_dop853_floor_after_shrink_raises(monkeypatch):
+    # I* n=5 groups 1 of 5 columns: rtol 4e-14 / sqrt(5) = 1.8e-14 is below
+    # DOP853's 100 eps = 2.2e-14, which scipy would silently raise it to
+    import okubo.verify
+    calls = []
+    monkeypatch.setattr(okubo.verify, "solve_ivp",
+                        lambda *a, **kw: calls.append(kw) or solve_ivp(*a, **kw))
+    sysm = canonical_system(sample_spec("I*", 5, np.random.default_rng(1)))
+    cfg = replace(default_config(sysm.points), rtol=4e-14)
+    with pytest.raises(StepFailure) as err:
+        numeric_monodromy(sysm, cfg)
+    msg = str(err.value)
+    assert "rtol 4e-14" in msg and "shrink 2.236" in msg and "2.22e-14" in msg
+    assert calls == []
+    # a single group is not shrunk, so the same rtol runs
+    psi0 = numeric_canonical_solution(sysm, default_config(sysm.points))
+    numeric_determinant(sysm, cfg, cfg.base_point + 0.1, psi0)
 
 
 def test_one_point_monodromy_is_e_of_a():
@@ -554,8 +575,7 @@ def test_monodromy_convergence_under_refinement():
         for k in range(sysm.r))
     mon1 = numeric_monodromy(sysm, cfg)
     rtol = cfg.rtol / 2
-    cfg2 = replace(cfg, rtol=rtol, atol=rtol * 1e-2,
-                   max_order=2 * base_order + 8)
+    cfg2 = replace(cfg, rtol=rtol, max_order=2 * base_order + 8)
     mon2 = numeric_monodromy(sysm, cfg2, order=2 * base_order)
     for a, b in zip(mon1.matrices, mon2.matrices):
         assert np.max(np.abs(a - b)) < 1e-8

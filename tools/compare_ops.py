@@ -1,13 +1,15 @@
-"""Per-op comparison of two checkouts on one benchmark workload.
+"""Per-op comparison of two checkouts on the benchmark workloads.
 
 Run from anywhere:
 
     python3 tools/compare_ops.py TREE_A TREE_B --workload verify-rank --seeds 1,2,3
 
-For each tree, a fresh interpreter imports that tree's ``src`` and
-``perfbench``, caps BLAS threads with that tree's ``run.cap_blas_threads``,
-builds each seed's op list with ``workloads.build_ops`` and runs every op
-once with ``workloads.run_op``.  An op's key is its ``Result.key()``: the
+Without ``--workload`` it runs every workload, and without ``--seeds`` at
+each workload's rule seeds (``RULE_SEEDS``).  For each tree, a fresh
+interpreter imports that tree's ``src`` and ``perfbench``, caps BLAS
+threads with that tree's ``run.cap_blas_threads``, builds each seed's op
+list with ``workloads.build_ops`` and runs every op once with
+``workloads.run_op``.  An op's key is its ``Result.key()``: the
 outcome, the repr of every residual and tolerance, and the detail.
 
 Prints, per seed and tree, failed/attempted and err_digits_p50 (the median
@@ -16,8 +18,8 @@ reports it); then every op whose outcome flips and every op whose detail or
 residuals differ, each with the largest |delta log10| of a residual; then
 how many flips go to pass and to fail, and for each check the median signed
 delta log10 of its residuals (negative: B's residuals are smaller).  Exit
-status 0 when every key is identical, 1 when any differs, 2 when a tree
-cannot be run.
+status 0 when every key of every workload is identical, 1 when any differs,
+2 when a tree cannot be run.
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+# The seeds every change of floating-point order is compared at.
+RULE_SEEDS = {"verify-rank": [1, 2, 3, 7, 9], "verify-points": [1, 2, 3],
+              "formulas": [1, 2]}
 
 # Runs inside the tree: argv is TREE WORKLOAD SEEDS; the last stdout line is
 # {seed: [[label, outcome, [[check, residual, tol], ...], detail], ...]}.
@@ -190,17 +196,23 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("tree_a", type=Path)
     ap.add_argument("tree_b", type=Path)
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--seeds", required=True,
-                    type=lambda s: [int(x) for x in s.split(",")])
+    ap.add_argument("--workload", choices=sorted(RULE_SEEDS),
+                    help="default: every workload")
+    ap.add_argument("--seeds", type=lambda s: [int(x) for x in s.split(",")],
+                    help="default: the workload's RULE_SEEDS")
     args = ap.parse_args(argv)
-    try:
-        keys_a, keys_b = [run_tree(tree.resolve(), args.workload, args.seeds)
-                          for tree in (args.tree_a, args.tree_b)]
-    except (RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return report(keys_a, keys_b)
+    status = 0
+    for workload in [args.workload] if args.workload else list(RULE_SEEDS):
+        seeds = args.seeds or RULE_SEEDS[workload]
+        print(f"== {workload}, seeds {','.join(map(str, seeds))}")
+        try:
+            keys_a, keys_b = [run_tree(tree.resolve(), workload, seeds)
+                              for tree in (args.tree_a, args.tree_b)]
+        except (RuntimeError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        status = max(status, report(keys_a, keys_b))
+    return status
 
 
 if __name__ == "__main__":
