@@ -5,7 +5,6 @@ verifier."""
 from .core import (
     BlockStructure,
     BranchError,
-    ExponentProfile,
     GenericityError,
     KernelError,
     MonodromyTuple,
@@ -27,7 +26,6 @@ from .core import (
     branch_power,
     default_config,
     e_of,
-    exponent_profile_of,
     gamma_c,
     okubo_to_schlesinger,
     rank_factorization,

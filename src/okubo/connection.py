@@ -36,33 +36,11 @@ from .yokoyama import YokoyamaSpec, swap_spec
 
 
 # ---------------------------------------------------------------------------
-# connection data
-
-@dataclass
-class ConnectionData:
-    """Connection matrices C^(kj) for ordered block pairs (k, j), k != j,
-    under the branch conventions of ``config``."""
-
-    matrices: dict
-    config: PathConfig
-
-    def __getitem__(self, kj):
-        return self.matrices[kj]
-
-    @property
-    def c(self):
-        return self.matrices.get((0, 1))
-
-    @property
-    def d(self):
-        return self.matrices.get((1, 0))
-
-
-# ---------------------------------------------------------------------------
 # closed forms (verifier-adjudicated normalization)
 
-def closed_form_connection(spec: YokoyamaSpec, cfg: PathConfig) -> ConnectionData:
-    """Evaluate every connection matrix from the gamma-product formulas."""
+def closed_form_connection(spec: YokoyamaSpec, cfg: PathConfig) -> dict:
+    """Every connection matrix C^(kj), k != j, as {(k, j): matrix}, from
+    the gamma-product formulas."""
     spec.check_genericity()
     kind = spec.kind
     if kind == "I":
@@ -94,7 +72,7 @@ def _connection_type_I(spec, cfg):
                    * gamma_ratio([1 + aj, -an]
                                  + [aj - al[k] for k in range(n - 1) if k != j],
                                  [aj - r for r in rho]))
-    return ConnectionData({(0, 1): c, (1, 0): d}, cfg)
+    return {(0, 1): c, (1, 0): d}
 
 
 def _connection_type_Istar(spec, cfg):
@@ -115,7 +93,7 @@ def _connection_type_Istar(spec, cfg):
                    * gamma_ratio([-al[i], al[j] + 1],
                                  [al[j] - r1, 1 + r1 - al[i]]))
             mats[(i, j)] = np.array([[val]], dtype=complex)
-    return ConnectionData(mats, cfg)
+    return mats
 
 
 def _connection_type_II_III(spec, cfg):
@@ -163,13 +141,13 @@ def _connection_type_II_III(spec, cfg):
                            + [aj + be[k] - r1 - r2 for k in range(n) if k != i]
                            + [1 + r1 + r2 - al[k] - bi
                               for k in range(m) if k != j]))
-    return ConnectionData({(0, 1): c, (1, 0): d}, cfg)
+    return {(0, 1): c, (1, 0): d}
 
 
 # ---------------------------------------------------------------------------
 # monodromy from connection data
 
-def assemble_monodromy(conn: ConnectionData, spec: YokoyamaSpec) -> MonodromyTuple:
+def assemble_monodromy(conn: dict, spec: YokoyamaSpec) -> MonodromyTuple:
     """M_k = identity outside block row k, e(A_kk) on the diagonal block and
     (e(A_kk) - 1) C^(kj) elsewhere in the row."""
     blocks = spec.blocks
@@ -185,15 +163,14 @@ def assemble_monodromy(conn: ConnectionData, spec: YokoyamaSpec) -> MonodromyTup
         for j in range(blocks.r):
             if j == k:
                 continue
-            ckj = conn.matrices.get((k, j))
+            ckj = conn.get((k, j))
             if ckj is None:
                 raise ShapeError(f"connection block ({k},{j}) missing")
             if ckj.shape != (blocks.sizes[k], blocks.sizes[j]):
                 raise ShapeError(f"connection block ({k},{j}) has wrong shape")
             mk[sl_k, blocks.block_slice(j)] = fac @ ckj
         mats.append(mk)
-    return MonodromyTuple(matrices=tuple(mats), config=conn.config,
-                          blocks=blocks)
+    return MonodromyTuple(matrices=tuple(mats), blocks=blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -335,14 +312,14 @@ def chain_connection(spec: YokoyamaSpec, cfg: PathConfig) -> RecurrenceState:
     return state
 
 
-def recurrence_connection(spec: YokoyamaSpec, cfg: PathConfig) -> ConnectionData:
+def recurrence_connection(spec: YokoyamaSpec, cfg: PathConfig) -> dict:
     """All connection matrices from the recurrences plus symmetry."""
     if spec.kind == "I*":
         raise ShapeError("type I* has no recurrence chain")
     return symmetry_extend(spec, cfg)
 
 
-def symmetry_extend(spec: YokoyamaSpec, cfg: PathConfig) -> ConnectionData:
+def symmetry_extend(spec: YokoyamaSpec, cfg: PathConfig) -> dict:
     """Fill entry (i, j) of C (and (j, i) of D) with the leading entries of
     the chain run on the spec with exponents 1 <-> i (and 1 <-> j)
     exchanged: the permutation-matrix symmetry of the canonical forms."""
@@ -356,4 +333,4 @@ def symmetry_extend(spec: YokoyamaSpec, cfg: PathConfig) -> ConnectionData:
                 sw = swap_spec(sw, "beta", 0, j)
             st = chain_connection(sw, cfg)
             c[i, j], d[j, i] = st.c, st.d
-    return ConnectionData({(0, 1): c, (1, 0): d}, cfg)
+    return {(0, 1): c, (1, 0): d}

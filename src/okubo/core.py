@@ -282,67 +282,15 @@ def schlesinger_to_okubo(sch: SchlesingerSystem,
 
 
 # ---------------------------------------------------------------------------
-# exponents
-
-@dataclass(frozen=True)
-class ExponentProfile:
-    """Local exponents alpha^(k)_j at each finite point plus the exponents
-    rho_i at infinity (eigenvalues of A), with Fuchs-relation bookkeeping."""
-
-    local: tuple          # tuple of tuples, one per singular point
-    infinity: tuple       # rho_1, ..., rho_n
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "local", tuple(tuple(complex(a) for a in row) for row in self.local)
-        )
-        object.__setattr__(self, "infinity", tuple(complex(x) for x in self.infinity))
-
-    def fuchs_residual(self) -> float:
-        s = sum(sum(row) for row in self.local) - sum(self.infinity)
-        return abs(s)
-
-    def is_generic(self) -> bool:
-        """Paper-style genericity: no local exponent in Z, no pair of local
-        exponents at one point with a nonzero integer difference (at 1e-8)."""
-        tol = 1e-8
-        for row in self.local:
-            for a in row:
-                if _near_integer(a, tol):
-                    return False
-            for i in range(len(row)):
-                for j in range(i + 1, len(row)):
-                    d = row[i] - row[j]
-                    if _near_integer(d, tol) and abs(d) > tol:
-                        return False
-        return True
-
-
-def _near_integer(z: complex, tol: float) -> bool:
-    z = complex(z)
-    return abs(z.imag) <= tol and abs(z.real - round(z.real)) <= tol
-
-
-def exponent_profile_of(sys: OkuboSystem) -> ExponentProfile:
-    """Exponents computed from the diagonal blocks and from A itself."""
-    local = []
-    for k in range(sys.r):
-        akk = sys.block(k, k)
-        local.append(tuple(np.linalg.eigvals(akk)))
-    rho = tuple(np.linalg.eigvals(sys.A))
-    return ExponentProfile(local=tuple(local), infinity=rho)
-
-
-# ---------------------------------------------------------------------------
 # path configuration / branch conventions
 
 @dataclass(frozen=True)
 class PathConfig:
     """Base point, argument assignments theta_k = arg(p0 - t_k), loop radii,
     and integration controls.  Every branch of log/power used anywhere in the
-    library is fixed by this object.  default_config and config_from_json
-    take the integration controls from the field defaults below; the
-    oracle's transports run DOP853 at rtol, with atol = rtol * 1e-2."""
+    library is fixed by this object.  default_config takes the integration
+    controls from the field defaults below; the oracle's transports run
+    DOP853 at rtol, with atol = rtol * 1e-2."""
 
     points: tuple
     base_point: complex
@@ -373,14 +321,25 @@ class PathConfig:
             # theta_k must be a genuine argument of p0 - t_k
             if abs(cmath.exp(1j * self.thetas[k]) - (p0 - t) / abs(p0 - t)) > 1e-9:
                 raise BranchError(f"theta_{k} is not an argument of p0 - t_{k}")
+        th = self.thetas
         for k in range(r - 1):
-            if not self.thetas[k] > self.thetas[k + 1]:
-                raise BranchError("theta_1 > theta_2 > ... ordering violated")
-        if r > 1 and not self.thetas[-1] > self.thetas[0] - math.pi:
-            raise BranchError("theta_r > theta_1 - pi violated")
+            if not th[k] > th[k + 1]:
+                raise BranchError(
+                    f"theta_{k} > theta_{k + 1} violated: theta_{k} = "
+                    f"{th[k]:.6g} at t_{k} = {pts[k]}, theta_{k + 1} = "
+                    f"{th[k + 1]:.6g} at t_{k + 1} = {pts[k + 1]} "
+                    f"(theta_j = arg(p0 - t_j), p0 = {p0})")
+        if r > 1 and not th[-1] > th[0] - math.pi:
+            raise BranchError(
+                f"theta_{r - 1} > theta_0 - pi violated: theta_{r - 1} = "
+                f"{th[-1]:.6g} at t_{r - 1} = {pts[-1]}, theta_0 = "
+                f"{th[0]:.6g} at t_0 = {pts[0]} "
+                f"(theta_j = arg(p0 - t_j), p0 = {p0})")
         for i in range(1, r):
             if not ((pts[i] - p0) / (pts[0] - p0)).imag < 0:
-                raise BranchError("Im (t_i - p0)/(t_1 - p0) < 0 violated")
+                raise BranchError(
+                    f"Im (t_{i} - p0)/(t_0 - p0) < 0 violated: t_{i} = "
+                    f"{pts[i]}, t_0 = {pts[0]}, p0 = {p0}")
         for k, t in enumerate(pts):
             dmin = min(
                 [abs(t - s) for s in pts if s != t] + [abs(t - p0)]
@@ -451,7 +410,6 @@ class MonodromyTuple:
     ordering (gamma_inf gamma_1 ... gamma_r = 1)."""
 
     matrices: tuple
-    config: PathConfig | None = None
     blocks: BlockStructure | None = None
 
     def __post_init__(self):
@@ -607,63 +565,6 @@ def schlesinger_from_json(d) -> SchlesingerSystem:
     return SchlesingerSystem(
         points=tuple(complex_from_json(t) for t in d["points"]),
         residues=tuple(matrix_from_json(a) for a in d["residues"]),
-    )
-
-
-def profile_to_json(p: ExponentProfile) -> dict:
-    return {
-        "local": [[complex_to_json(a) for a in row] for row in p.local],
-        "infinity": [complex_to_json(x) for x in p.infinity],
-    }
-
-
-def profile_from_json(d) -> ExponentProfile:
-    return ExponentProfile(
-        local=tuple(tuple(complex_from_json(a) for a in row) for row in d["local"]),
-        infinity=tuple(complex_from_json(x) for x in d["infinity"]),
-    )
-
-
-def config_to_json(cfg: PathConfig) -> dict:
-    return {
-        "points": [complex_to_json(t) for t in cfg.points],
-        "base_point": complex_to_json(cfg.base_point),
-        "thetas": list(cfg.thetas),
-        "radii": list(cfg.radii),
-        "rtol": cfg.rtol,
-        "series_tol": cfg.series_tol,
-        "max_order": cfg.max_order,
-    }
-
-
-def config_from_json(d) -> PathConfig:
-    """Keys that d lacks take the PathConfig defaults; atol is derived from
-    rtol, so an "atol" key is ignored."""
-    controls = {key: d[key] for key in ("rtol", "series_tol", "max_order")
-                if key in d}
-    return PathConfig(
-        points=tuple(complex_from_json(t) for t in d["points"]),
-        base_point=complex_from_json(d["base_point"]),
-        thetas=tuple(d["thetas"]),
-        radii=tuple(d["radii"]),
-        **controls,
-    )
-
-
-def monodromy_to_json(mon: MonodromyTuple) -> dict:
-    out = {"matrices": [matrix_to_json(m) for m in mon.matrices]}
-    if mon.config is not None:
-        out["config"] = config_to_json(mon.config)
-    if mon.blocks is not None:
-        out["blocks"] = list(mon.blocks.sizes)
-    return out
-
-
-def monodromy_from_json(d) -> MonodromyTuple:
-    return MonodromyTuple(
-        matrices=tuple(matrix_from_json(m) for m in d["matrices"]),
-        config=config_from_json(d["config"]) if "config" in d else None,
-        blocks=BlockStructure(tuple(d["blocks"])) if "blocks" in d else None,
     )
 
 

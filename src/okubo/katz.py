@@ -45,7 +45,6 @@ class ReductionWitness:
     ranks: list = field(default_factory=list)       # n_k = rank of A_k / M_k - 1
     p0: np.ndarray | None = None
     q0: np.ndarray | None = None
-    s0: np.ndarray | None = None
     m: int = 0                          # rank of the L-reduction
 
     def to_json(self) -> dict:
@@ -110,7 +109,6 @@ def add_monodromy(mon: MonodromyTuple, lams) -> MonodromyTuple:
         raise ZeroScalar("addition scalars must be nonzero")
     return MonodromyTuple(
         matrices=tuple(complex(l) * m for l, m in zip(lams, mon.matrices)),
-        config=mon.config,
         blocks=mon.blocks,
     )
 
@@ -119,7 +117,10 @@ def add_monodromy(mon: MonodromyTuple, lams) -> MonodromyTuple:
 # middle convolution of a Schlesinger system (three steps)
 
 def convolve_system(sys: SchlesingerSystem, mu) -> OkuboSystem:
-    """c_mu: the dimension-nr Okubo system with B_k zero outside block row k."""
+    """c_mu: the dimension-nr Okubo system with B_k zero outside block row k.
+
+    The reference for c_mu: ``middle_convolution_system`` never forms it,
+    since its K-reduction needs only the residues' rank factors."""
     n, r = sys.n, sys.r
     mu = complex(mu)
     b = np.zeros((n * r, n * r), dtype=complex)
@@ -134,9 +135,10 @@ def convolve_system(sys: SchlesingerSystem, mu) -> OkuboSystem:
     )
 
 
-def _factor_residues(sys: SchlesingerSystem):
+def _rank_factors(mats):
+    """Rank factors (P_k, Q_k, n_k) of each matrix, as three lists."""
     ps, qs, ranks = [], [], []
-    for a in sys.residues:
+    for a in mats:
         p, q, rk = rank_factorization(a, FACTOR_TOL)
         ps.append(p)
         qs.append(q)
@@ -144,12 +146,14 @@ def _factor_residues(sys: SchlesingerSystem):
     return ps, qs, ranks
 
 
-def k_reduce_system(conv: OkuboSystem, w: ReductionWitness) -> SchlesingerSystem:
-    """K-reduction: blocks Q_i P_j + mu delta_ij on the nonzero ranks."""
-    r = conv.r
+def k_reduce_system(sys: SchlesingerSystem,
+                    w: ReductionWitness) -> SchlesingerSystem:
+    """K-reduction of c_mu(sys): blocks Q_i P_j + mu delta_ij on the
+    nonzero ranks, from the rank factors A_i = P_i Q_i in ``w``."""
+    r = sys.r
     if len(w.factors_p) != r or len(w.factors_q) != r:
         raise ShapeError("witness factor count does not match the system")
-    n = conv.blocks.sizes[0]
+    n = sys.n
     for p, q, rk in zip(w.factors_p, w.factors_q, w.ranks):
         if p.shape != (n, rk) or q.shape != (rk, n):
             raise ShapeError("witness factor shapes inconsistent with ranks")
@@ -173,20 +177,21 @@ def k_reduce_system(conv: OkuboSystem, w: ReductionWitness) -> SchlesingerSystem
             a = keep.index(i)
             res[offs[a]:offs[a + 1], :] = bt[offs[a]:offs[a + 1], :]
         residues.append(res)
-    return SchlesingerSystem(points=conv.points, residues=tuple(residues))
+    return SchlesingerSystem(points=sys.points, residues=tuple(residues))
 
 
 def l_reduce_system(ksys: SchlesingerSystem):
     """L-reduction: B-hat_k = Q_0 E_k P_0 from B-tilde = P_0 Q_0.
 
-    Returns (SchlesingerSystem, (P0, Q0, S0, m)).
+    Returns (SchlesingerSystem, (P0, Q0, m)); RankError when Q0 has no
+    right inverse.
     """
     bt = sum(ksys.residues)
     p0, q0, m = rank_factorization(bt, FACTOR_TOL)
     res = matrix_scale(bt - p0 @ q0)
     if res > 1e-8 * max(1.0, matrix_scale(bt)):
         raise RankError(f"L-reduction factor residual too large: {res}")
-    s0 = right_inverse(q0) if m > 0 else np.zeros((bt.shape[0], 0), dtype=complex)
+    right_inverse(q0)             # raises RankError if Q0 has none
     residues = []
     for a in ksys.residues:
         # E_k selects the rows where residue k lives (its nonzero block row)
@@ -195,20 +200,18 @@ def l_reduce_system(ksys: SchlesingerSystem):
         residues.append(q0 @ ek_p0)
     return (
         SchlesingerSystem(points=ksys.points, residues=tuple(residues)),
-        (p0, q0, s0, m),
+        (p0, q0, m),
     )
 
 
 def middle_convolution_system(sys: SchlesingerSystem, mu):
-    """mc_mu: convolution, K-reduction, L-reduction; returns (system, witness)."""
+    """mc_mu: K-reduction of the convolution c_mu, straight from the
+    residues' rank factors, then L-reduction; returns (system, witness)."""
     mu = complex(mu)
-    ps, qs, ranks = _factor_residues(sys)
+    ps, qs, ranks = _rank_factors(sys.residues)
     w = ReductionWitness(parameter=mu, factors_p=ps, factors_q=qs,
                          ranks=ranks)
-    conv = convolve_system(sys, mu)
-    ksys = k_reduce_system(conv, w)
-    lsys, (p0, q0, s0, m) = l_reduce_system(ksys)
-    w.p0, w.q0, w.s0, w.m = p0, q0, s0, m
+    lsys, (w.p0, w.q0, w.m) = l_reduce_system(k_reduce_system(sys, w))
     return lsys, w
 
 
@@ -234,7 +237,7 @@ def convolve_monodromy(mon: MonodromyTuple, lam) -> MonodromyTuple:
                 blk = mon.matrices[j] - eye
             nk[k * n:(k + 1) * n, j * n:(j + 1) * n] = blk
         mats.append(nk)
-    return MonodromyTuple(matrices=tuple(mats), config=mon.config,
+    return MonodromyTuple(matrices=tuple(mats),
                           blocks=BlockStructure((n,) * r))
 
 
@@ -246,12 +249,7 @@ def middle_convolution_monodromy(mon: MonodromyTuple, lam):
         raise ZeroScalar("convolution parameter must be nonzero")
     n, r = mon.n, mon.r
     eye = np.eye(n, dtype=complex)
-    ps, qs, ranks = [], [], []
-    for m in mon.matrices:
-        p, q, rk = rank_factorization(m - eye, FACTOR_TOL)
-        ps.append(p)
-        qs.append(q)
-        ranks.append(rk)
+    ps, qs, ranks = _rank_factors([m - eye for m in mon.matrices])
     w = ReductionWitness(parameter=lam, factors_p=ps, factors_q=qs,
                          ranks=ranks)
     keep = [i for i in range(r) if ranks[i] > 0]
@@ -278,7 +276,7 @@ def middle_convolution_monodromy(mon: MonodromyTuple, lam):
         n0 = n0 @ nk
     p0, q0, m = rank_factorization(n0 - np.eye(nt), FACTOR_TOL)
     s0 = right_inverse(q0) if m > 0 else np.zeros((nt, 0), complex)
-    w.p0, w.q0, w.s0, w.m = p0, q0, s0, m
+    w.p0, w.q0, w.m = p0, q0, m
     reduced = [q0 @ nk @ s0 for nk in n_tildes]
     out = []
     pos = 0
@@ -288,7 +286,7 @@ def middle_convolution_monodromy(mon: MonodromyTuple, lam):
             pos += 1
         else:
             out.append(np.eye(m, dtype=complex))
-    return MonodromyTuple(matrices=tuple(out), config=mon.config), w
+    return MonodromyTuple(matrices=tuple(out)), w
 
 
 # ---------------------------------------------------------------------------
@@ -334,27 +332,24 @@ def complement_factorization(x, blocks: BlockStructure, k: int):
     return xi, eta, l
 
 
-def split_rows(m: np.ndarray, blocks: BlockStructure, skip: int):
-    """Rows of m split per block, skipping block ``skip``."""
-    out = {}
-    pos = 0
+def _grown_layout(blocks: BlockStructure, k: int, l: int):
+    """Layout of a mc-with-additions step at block k with complement rank l.
+
+    Returns (new blocks, with block k grown to n_k + l; the slice of the old
+    n_k and of the new l rows of block k in them; and {i: slice of block i
+    in the rows of xi and the columns of eta}, which skip block k).
+    """
+    nk = blocks.sizes[k]
+    sizes = list(blocks.sizes)
+    sizes[k] = nk + l
+    new_blocks = BlockStructure(tuple(sizes))
+    ko = new_blocks.offset(k)
+    others, pos = {}, 0
     for i in range(blocks.r):
-        if i == skip:
-            continue
-        out[i] = m[pos:pos + blocks.sizes[i]]
-        pos += blocks.sizes[i]
-    return out
-
-
-def split_cols(m: np.ndarray, blocks: BlockStructure, skip: int):
-    out = {}
-    pos = 0
-    for j in range(blocks.r):
-        if j == skip:
-            continue
-        out[j] = m[:, pos:pos + blocks.sizes[j]]
-        pos += blocks.sizes[j]
-    return out
+        if i != k:
+            others[i] = slice(pos, pos + blocks.sizes[i])
+            pos += blocks.sizes[i]
+    return new_blocks, slice(ko, ko + nk), slice(ko + nk, ko + nk + l), others
 
 
 # ---------------------------------------------------------------------------
@@ -398,22 +393,12 @@ def mc_add_system(sys: OkuboSystem, k: int, c, rho, xi_eta=None):
             raise ShapeError("supplied xi/eta have inconsistent shapes")
 
     nk = blocks.sizes[k]
-    new_sizes = list(blocks.sizes)
-    new_sizes[k] = nk + l
-    new_blocks = BlockStructure(tuple(new_sizes))
-    nm = n + l
-    amc = np.zeros((nm, nm), dtype=complex)
-
+    new_blocks, sl_ko, sl_kn, others = _grown_layout(blocks, k, l)
+    amc = np.zeros((n + l, n + l), dtype=complex)
     akk_rho_inv = np.linalg.inv(akk - rho * np.eye(nk))
-    xi_rows = split_rows(xi, blocks, k)       # xi_i, i != k
-    eta_cols = split_cols(eta, blocks, k)     # eta_j, j != k
 
     def ns(i):   # new slice of block i
         return new_blocks.block_slice(i)
-
-    ko = new_blocks.offset(k)                # start of (k-old | k-new)
-    sl_ko = slice(ko, ko + nk)
-    sl_kn = slice(ko + nk, ko + nk + l)
 
     for i in range(r):
         for j in range(r):
@@ -428,13 +413,13 @@ def mc_add_system(sys: OkuboSystem, k: int, c, rho, xi_eta=None):
             continue
         amc[ns(i), sl_ko] = sys.block(i, k) @ (akk + c * np.eye(nk)) @ akk_rho_inv
         if l:
-            amc[ns(i), sl_kn] = (rho + c) * xi_rows[i]
+            amc[ns(i), sl_kn] = (rho + c) * xi[others[i]]
     for j in range(r):
         if j == k:
             continue
         amc[sl_ko, ns(j)] = sys.block(k, j)
         if l:
-            amc[sl_kn, ns(j)] = eta_cols[j]
+            amc[sl_kn, ns(j)] = eta[:, others[j]]
     amc[sl_ko, sl_ko] = akk
     if l:
         amc[sl_kn, sl_kn] = rho * np.eye(l)
@@ -492,18 +477,10 @@ def mc_add_monodromy(mon: MonodromyTuple, blocks: BlockStructure, k: int,
         raise SingularBlock("M^(k)_kk - 1 singular at tolerance")
     xi, eta, l = complement_factorization(x, blocks, k)
 
-    new_sizes = list(blocks.sizes)
-    new_sizes[k] = nk + l
-    new_blocks = BlockStructure(tuple(new_sizes))
+    new_blocks, sl_ko, sl_kn, others = _grown_layout(blocks, k, l)
     nm = n + l
-    ko = new_blocks.offset(k)
-    sl_ko = slice(ko, ko + nk)
-    sl_kn = slice(ko + nk, ko + nk + l)
-
     xkk_inv = np.linalg.inv(xkk)
     m0k_inv = np.linalg.inv(m0k)
-    xi_rows = split_rows(xi, blocks, k)
-    eta_cols = split_cols(eta, blocks, k)
 
     def mij(i, j):
         return mon.matrices[i][blocks.block_slice(i), blocks.block_slice(j)]
@@ -527,7 +504,8 @@ def mc_add_monodromy(mon: MonodromyTuple, blocks: BlockStructure, k: int,
                 mi[sl_ko, new_blocks.block_slice(j)] = fac * mij(k, j)
                 fac2 = 1.0 / s if j < k else 1.0 / lam
                 if l:
-                    mi[sl_kn, new_blocks.block_slice(j)] = fac2 * eta_cols[j]
+                    mi[sl_kn, new_blocks.block_slice(j)] = \
+                        fac2 * eta[:, others[j]]
             mi[sl_ko, sl_ko] = mij(k, k)
             mi[sl_ko, sl_kn] = 0.0
             if l:
@@ -543,9 +521,9 @@ def mc_add_monodromy(mon: MonodromyTuple, blocks: BlockStructure, k: int,
             if i < k:
                 mi[sl_new_i, sl_ko] = (s / lam) * mij(i, k) @ corr
                 if l:
-                    acc = -xi_rows[i].copy()
+                    acc = -xi[others[i]]
                     for j in range(i + 1, k):
-                        acc = acc + mij(i, j) @ xi_rows[j]
+                        acc = acc + mij(i, j) @ xi[others[j]]
                     mi[sl_new_i, sl_kn] = (1.0 - s / lam) * acc
             else:
                 mi[sl_new_i, sl_ko] = mij(i, k) @ corr
@@ -555,12 +533,12 @@ def mc_add_monodromy(mon: MonodromyTuple, blocks: BlockStructure, k: int,
                         inner = np.zeros((blocks.sizes[j], l), dtype=complex)
                         for p in range(r):
                             if p != k:
-                                inner = inner + m0k_inv_blk(j, p) @ xi_rows[p]
+                                inner = inner + (m0k_inv_blk(j, p)
+                                                 @ xi[others[p]])
                         acc = acc + mij(i, j) @ inner
                     mi[sl_new_i, sl_kn] = lam * (1.0 - lam / s) * acc
         mats.append(mi)
 
     witness = McAddWitness(k=k, s=s, lam=lam, xi=xi, eta=eta)
-    out = MonodromyTuple(matrices=tuple(mats), config=mon.config,
-                         blocks=new_blocks)
+    out = MonodromyTuple(matrices=tuple(mats), blocks=new_blocks)
     return out, witness

@@ -146,24 +146,12 @@ def eval_factor(series: LocalSeries, z: complex) -> np.ndarray:
 
 
 def eval_local_block(sys: OkuboSystem, series: LocalSeries, z: complex,
-                     log_z: complex, deriv: bool = False):
+                     log_z: complex) -> np.ndarray:
     """Psi^(k)_k(t_k + z) = F(z) e_k z^{A_kk}, using the supplied branch of
-    log z.  Optionally also the x-derivative."""
-    k = series.k
-    sl_k = sys.blocks.block_slice(k)
-    akk = sys.block(k, k)
-    f = eval_factor(series, z)
-    zakk = sla.expm(log_z * akk)
-    cols = f[:, sl_k] @ zakk
-    if not deriv:
-        return cols
-    fp = np.zeros_like(f)
-    zp = 1.0 + 0.0j
-    for m, c in enumerate(series.coeffs[1:], start=1):
-        fp += m * c * zp
-        zp *= z
-    dcols = fp[:, sl_k] @ zakk + (f[:, sl_k] @ akk @ zakk) / z
-    return cols, dcols
+    log z."""
+    sl_k = sys.blocks.block_slice(series.k)
+    zakk = sla.expm(log_z * sys.block(series.k, series.k))
+    return eval_factor(series, z)[:, sl_k] @ zakk
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +387,7 @@ def numeric_monodromy(sys: OkuboSystem, cfg: PathConfig,
             eval_factor(series[k], loop_entry(cfg, k)), cols)
         e_k = sla.expm(2j * math.pi * sys.residue(k))
         mats.append(np.linalg.solve(p, e_k @ p))
-    return MonodromyTuple(matrices=tuple(mats), config=cfg,
-                          blocks=sys.blocks)
+    return MonodromyTuple(matrices=tuple(mats), blocks=sys.blocks)
 
 
 def numeric_connection(sys: OkuboSystem, cfg: PathConfig,
@@ -438,15 +425,6 @@ def numeric_determinant(sys: OkuboSystem, cfg: PathConfig, x: complex,
     psi_x, = transport(sys, [(Segment(cfg.base_point, x), psi0)],
                        cfg.rtol, cfg.atol)
     return complex(np.linalg.det(psi_x))
-
-
-def ode_residual(sys: OkuboSystem, x: complex, y: np.ndarray,
-                 dy: np.ndarray) -> float:
-    """Relative residual of (x - T) Y' = A Y for given column values."""
-    lhs = (x - sys.t_diag())[:, None] * dy
-    rhs = sys.A @ y
-    denom = max(matrix_scale(rhs), matrix_scale(lhs), 1e-30)
-    return matrix_scale(lhs - rhs) / denom
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,6 @@ from .core import (
     OkuboSystem,
     SchlesingerSystem,
     ShapeError,
-    _near_integer,
-    complex_from_json,
     complex_to_json,
     schlesinger_to_okubo,
 )
@@ -28,6 +26,11 @@ from .katz import mc_add_system, middle_convolution_system, schur_complement
 
 KINDS = ("I", "I*", "II", "III")
 GENERIC_TOL = 1e-8
+
+
+def _near_integer(z: complex, tol: float) -> bool:
+    z = complex(z)
+    return abs(z.imag) <= tol and abs(z.real - round(z.real)) <= tol
 
 
 @dataclass(frozen=True)
@@ -167,17 +170,6 @@ class YokoyamaSpec:
         }
 
 
-def spec_from_json(d) -> YokoyamaSpec:
-    return YokoyamaSpec(
-        kind=d["kind"],
-        n=int(d["n"]),
-        alpha=tuple(complex_from_json(v) for v in d["alpha"]),
-        beta=tuple(complex_from_json(v) for v in d.get("beta", [])),
-        rho=tuple(complex_from_json(v) for v in d["rho"]),
-        points=tuple(complex_from_json(v) for v in d.get("points", [])),
-    )
-
-
 # ---------------------------------------------------------------------------
 # random generic specs
 
@@ -302,22 +294,6 @@ def canonical_system(spec: YokoyamaSpec) -> OkuboSystem:
                     "type III L")
                 a[m + i, j] = num / den
     return OkuboSystem(blocks=spec.blocks, points=spec.points, A=a)
-
-
-def haraoka_gauge(spec: YokoyamaSpec) -> np.ndarray:
-    """diag(a_1^-1 .. a_m^-1, b_1^-1 .. b_n^-1) relating this normalization
-    to Haraoka's (types II/III)."""
-    if spec.kind not in ("II", "III"):
-        raise ShapeError("Haraoka gauge applies to types II and III")
-    al, be = spec.alpha, spec.beta
-    m = len(al)
-    a = [(1.0 / _check_denominator(
-        math.prod(al[i] - al[k] for k in range(m) if k != i), "a_i"))
-        for i in range(m)]
-    b = [(1.0 / _check_denominator(
-        math.prod(be[i] - be[k] for k in range(len(be)) if k != i), "b_i"))
-        for i in range(len(be))]
-    return np.diag(np.array(a + b, dtype=complex))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import pytest
 
 from okubo.core import default_config, e_of
 from okubo.connection import (
-    ConnectionData,
     assemble_monodromy,
     closed_form_connection,
     okubo_determinant,
@@ -47,9 +46,8 @@ def rejected_istar_convention(conn, spec):
     """The I* half-period assignment the theorem rejects, e(rho_1/2) on
     i < j: entry (i, j) times e(rho_1) for i < j and e(-rho_1) for i > j."""
     r1 = spec.rho[0]
-    return ConnectionData(
-        {(i, j): m * e_of(r1 if i < j else -r1)
-         for (i, j), m in conn.matrices.items()}, conn.config)
+    return {(i, j): m * e_of(r1 if i < j else -r1)
+            for (i, j), m in conn.items()}
 
 
 def tuple_err(mon_a, mon_b):

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -244,6 +245,25 @@ def test_det_check_at_singular_point_names_it(tmp_path, capsys, x, k):
     msg = f"coincides with the singular point t_{k}"
     assert msg in capsys.readouterr().err
     assert msg in load_json(out)["error"]
+
+
+@pytest.mark.parametrize("points", [(0, -1), (1j, 0)])
+def test_point_layout_branch_error_names_its_cause(tmp_path, capsys, points):
+    # both layouts break theta_0 > theta_1 in default_config (exit 3); the
+    # error names the index, both points, both thetas and p0
+    t0, t1 = (complex(t) for t in points)
+    p0 = (t0 + t1) / 2 - 1j
+    th0, th1 = cmath.phase(p0 - t0), cmath.phase(p0 - t1)
+    out = tmp_path / "v.json"
+    code = run(["verify", "--type", "II", "--n", "1", "--seed", "1",
+                "--points", f"{points[0]},{points[1]}".replace("j", "i"),
+                "-o", str(out)])
+    assert code == 3
+    msg = (f"theta_0 > theta_1 violated: theta_0 = {th0:.6g} at t_0 = {t0}, "
+           f"theta_1 = {th1:.6g} at t_1 = {t1} "
+           f"(theta_j = arg(p0 - t_j), p0 = {p0})")
+    assert f"error: {msg}" in capsys.readouterr().err
+    assert load_json(out)["error"] == msg
 
 
 INPUT_COMMANDS = [

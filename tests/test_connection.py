@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -6,7 +5,6 @@ import pytest
 
 from okubo.core import (
     PoleError,
-    ShapeError,
     SingularPoint,
     branch_power,
     default_config,
@@ -26,7 +24,7 @@ from okubo.connection import (
     regularized_beta,
     symmetry_extend,
 )
-from okubo.verify import intertwiner, numeric_connection, numeric_monodromy
+from okubo.verify import intertwiner, numeric_connection
 from okubo.yokoyama import YokoyamaSpec, canonical_system, sample_spec
 
 
@@ -44,8 +42,8 @@ def test_type_I_closed_form_matches_initial_data():
     cfg = default_config(spec.points)
     conn = closed_form_connection(spec, cfg)
     seed = initial_connection(spec.alpha[0], spec.alpha[1], spec.rho[0], cfg)
-    assert abs(conn.c[0, 0] - seed["C1"]) < 1e-12 * abs(seed["C1"])
-    assert abs(conn.d[0, 0] - seed["D1"]) < 1e-12 * abs(seed["D1"])
+    assert abs(conn[(0, 1)][0, 0] - seed["C1"]) < 1e-12 * abs(seed["C1"])
+    assert abs(conn[(1, 0)][0, 0] - seed["D1"]) < 1e-12 * abs(seed["D1"])
 
 
 def test_type_II_closed_form_matches_initial_data():
@@ -53,8 +51,8 @@ def test_type_II_closed_form_matches_initial_data():
     cfg = default_config(spec.points)
     conn = closed_form_connection(spec, cfg)
     seed = initial_connection(spec.alpha[0], spec.beta[0], spec.rho[0], cfg)
-    assert abs(conn.c[0, 0] - seed["C11"]) < 1e-12 * abs(seed["C11"])
-    assert abs(conn.d[0, 0] - seed["D11"]) < 1e-12 * abs(seed["D11"])
+    assert abs(conn[(0, 1)][0, 0] - seed["C11"]) < 1e-12 * abs(seed["C11"])
+    assert abs(conn[(1, 0)][0, 0] - seed["D11"]) < 1e-12 * abs(seed["D11"])
 
 
 def test_initial_data_normalizations():
@@ -93,7 +91,7 @@ def test_closed_form_entries_finite_nonzero():
     for kind, n in [("I", 4), ("I*", 3), ("II", 2), ("III", 2)]:
         spec = sample_spec(kind, n, np.random.default_rng(2))
         conn = closed_form_connection(spec, default_config(spec.points))
-        for m in conn.matrices.values():
+        for m in conn.values():
             assert np.all(np.isfinite(m))
             assert np.all(np.abs(m) > 0)
 
@@ -108,7 +106,7 @@ def test_closed_form_matches_numeric(kind, n):
     conn = closed_form_connection(spec, cfg)
     sysm = canonical_system(spec)
     num = numeric_connection(sysm, cfg)
-    for key, mat in conn.matrices.items():
+    for key, mat in conn.items():
         assert np.max(np.abs(mat - num[key])) < 1e-8
 
 
@@ -121,7 +119,7 @@ def test_closed_form_matches_numeric_nondefault_points():
     cfg = default_config(spec.points)
     conn = closed_form_connection(spec, cfg)
     num = numeric_connection(canonical_system(spec), cfg)
-    for key, mat in conn.matrices.items():
+    for key, mat in conn.items():
         assert np.max(np.abs(mat - num[key])) < 1e-8
     rec = recurrence_connection(spec, cfg)
     for key in ((0, 1), (1, 0)):
@@ -136,7 +134,7 @@ def test_istar_sign_adjudication():
     cfg = default_config(spec.points)
     sysm = canonical_system(spec)
     num = numeric_connection(sysm, cfg)
-    theorem = closed_form_connection(spec, cfg).matrices
+    theorem = closed_form_connection(spec, cfg)
     r1 = spec.rho[0]
     derivation = {(i, j): m * e_of(r1 if i < j else -r1)
                   for (i, j), m in theorem.items()}
@@ -152,9 +150,8 @@ def test_assemble_monodromy_shapes_and_trivial_case():
     spec = sample_spec("II", 2, np.random.default_rng(5))
     cfg = default_config(spec.points)
     conn = closed_form_connection(spec, cfg)
-    zero = {k: np.zeros_like(v) for k, v in conn.matrices.items()}
-    from okubo.connection import ConnectionData
-    mon = assemble_monodromy(ConnectionData(zero, cfg), spec)
+    zero = {k: np.zeros_like(v) for k, v in conn.items()}
+    mon = assemble_monodromy(zero, spec)
     for k, m in enumerate(mon.matrices):
         off = m.copy()
         sl = spec.blocks.block_slice(k)
@@ -254,8 +251,8 @@ def test_chain_covered_entries_match_before_symmetry():
     cfg = default_config(spec.points)
     st = chain_connection(spec, cfg)
     cf = closed_form_connection(spec, cfg)
-    assert abs(st.c - cf.c[0, 0]) < 1e-10 * np.max(np.abs(cf.c))
-    assert abs(st.d - cf.d[0, 0]) < 1e-10 * np.max(np.abs(cf.d))
+    assert abs(st.c - cf[(0, 1)][0, 0]) < 1e-10 * np.max(np.abs(cf[(0, 1)]))
+    assert abs(st.d - cf[(1, 0)][0, 0]) < 1e-10 * np.max(np.abs(cf[(1, 0)]))
 
 
 def test_symmetry_extend_fills_and_matches():
@@ -263,10 +260,11 @@ def test_symmetry_extend_fills_and_matches():
     cfg = default_config(spec.points)
     full = symmetry_extend(spec, cfg)
     cf = closed_form_connection(spec, cfg)
-    assert full.c.shape == cf.c.shape and full.d.shape == cf.d.shape
-    assert rel_err(full.c, cf.c) < 1e-10
-    assert rel_err(full.d, cf.d) < 1e-10
-    assert np.isfinite(full.c).all() and np.isfinite(full.d).all()
+    assert full[(0, 1)].shape == cf[(0, 1)].shape
+    assert full[(1, 0)].shape == cf[(1, 0)].shape
+    assert rel_err(full[(0, 1)], cf[(0, 1)]) < 1e-10
+    assert rel_err(full[(1, 0)], cf[(1, 0)]) < 1e-10
+    assert np.isfinite(full[(0, 1)]).all() and np.isfinite(full[(1, 0)]).all()
 
 
 def test_symmetry_extend_index1_unchanged():
@@ -274,7 +272,7 @@ def test_symmetry_extend_index1_unchanged():
     cfg = default_config(spec.points)
     rec = recurrence_connection(spec, cfg)
     st = chain_connection(spec, cfg)
-    assert (rec.c[0, 0], rec.d[0, 0]) == (st.c, st.d)
+    assert (rec[(0, 1)][0, 0], rec[(1, 0)][0, 0]) == (st.c, st.d)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ from okubo.core import (
     BlockStructure,
     KernelError,
     MonodromyTuple,
-    OkuboSystem,
     SchlesingerSystem,
     StructureError,
     ZeroScalar,
@@ -125,7 +124,7 @@ def test_k_reduction_full_rank_is_similarity():
     mu = 0.17 - 0.23j
     conv = convolve_system(sch, mu)
     _, w = middle_convolution_system(sch, mu)
-    ksys = k_reduce_system(conv, w)
+    ksys = k_reduce_system(sch, w)
     assert ksys.n == 4
     assert np.max(np.abs(sorted_eigs(sum(ksys.residues)) - sorted_eigs(conv.A))) < 1e-8
 
@@ -142,9 +141,8 @@ def test_k_reduction_drops_zero_blocks():
 def test_k_reduction_rank1_scalar_blocks():
     sch = rank1_seed()
     mu = 0.07 + 0.19j
-    conv = convolve_system(sch, mu)
     _, w = middle_convolution_system(sch, mu)
-    ksys = k_reduce_system(conv, w)
+    ksys = k_reduce_system(sch, w)
     bt = sum(ksys.residues)
     a1, b1 = sch.residues[0][0, 0], sch.residues[1][0, 0]
     want = np.array([[a1 + mu, b1], [a1, b1 + mu]])
@@ -155,10 +153,9 @@ def test_l_reduction_full_rank_similarity():
     rng = np.random.default_rng(5)
     sch = random_schlesinger(2, 2, rng)
     mu = 0.31 + 0.11j
-    conv = convolve_system(sch, mu)
     _, w = middle_convolution_system(sch, mu)
-    ksys = k_reduce_system(conv, w)
-    lsys, (p0, q0, s0, m) = l_reduce_system(ksys)
+    ksys = k_reduce_system(sch, w)
+    lsys, (p0, q0, m) = l_reduce_system(ksys)
     assert m == ksys.n
     for a, b in zip(lsys.residues, ksys.residues):
         assert np.max(np.abs(sorted_eigs(a) - sorted_eigs(b))) < 1e-8
@@ -167,7 +164,7 @@ def test_l_reduction_full_rank_similarity():
 def test_l_reduction_zero_system():
     ksys = SchlesingerSystem(points=(0.0, 1.0),
                              residues=(np.zeros((2, 2)), np.zeros((2, 2))))
-    lsys, (_, _, _, m) = l_reduce_system(ksys)
+    lsys, (_, _, m) = l_reduce_system(ksys)
     assert m == 0 and lsys.n == 0
 
 
@@ -365,13 +362,24 @@ def test_mc_add_kernel_guard_ignores_non_normality():
 
 
 def test_mc_add_fuchs_preserved():
-    from okubo.core import exponent_profile_of
+    # the local exponents of mc_add: block k keeps eig(A_kk) and gains rho
+    # l times; every other block shifts by -(rho + c)
+    from okubo.verify import spectrum_matches
     rng = np.random.default_rng(17)
     spec = sample_spec("III", 1, rng)
     sysm = canonical_system(spec)
-    out, _ = mc_add_system(sysm, 1, 0.11 + 0.21j, 0.4 - 0.17j)
-    prof = exponent_profile_of(out)
-    assert prof.fuchs_residual() < 1e-9
+    k, c, rho = 1, 0.11 + 0.21j, 0.4 - 0.17j
+    out, w = mc_add_system(sysm, k, c, rho)
+    l = w.xi.shape[1]
+    assert l >= 1
+    assert out.blocks.sizes[k] == sysm.blocks.sizes[k] + l
+    for i in range(sysm.r):
+        want = np.linalg.eigvals(sysm.block(i, i))
+        if i == k:
+            want = list(want) + [rho] * l
+        else:
+            want = list(want - (rho + c))
+        assert spectrum_matches(out.block(i, i), want, 1e-9) < 1e-9
 
 
 def test_mc_add_monodromy_structure_and_s_equals_lambda():
@@ -479,7 +487,6 @@ def test_plain_mc_additive_multiplicative_compatibility(kind, n):
 def test_mc_add_three_point_system_compatibility():
     """r = 3 exercises both the i < k and i > k branches of the (k1)/(k2)
     assembly at once (k in the middle); validated against the system route."""
-    from okubo.core import exponent_profile_of
     from okubo.verify import intertwiner, numeric_monodromy
 
     rng = np.random.default_rng(23)
@@ -489,7 +496,6 @@ def test_mc_add_three_point_system_compatibility():
     c, rho = 0.17 - 0.21j, 0.29 + 0.33j
     sys2, w = mc_add_system(sysm, 1, c, rho)
     assert sys2.blocks.sizes == (1, 3, 1)
-    assert exponent_profile_of(sys2).fuchs_residual() < 1e-9
     mon_in = numeric_monodromy(sysm, cfg)
     mon_sys = numeric_monodromy(sys2, cfg)
     mon_mc, _ = mc_add_monodromy(mon_in, sysm.blocks, 1, e_of(c), e_of(-rho))
