@@ -570,8 +570,7 @@ def schlesinger_from_json(d) -> SchlesingerSystem:
 
 def dump_json(obj: dict, path) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=1) + "\n")
 
 
 def load_json(path) -> dict:

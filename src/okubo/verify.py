@@ -351,8 +351,9 @@ def numeric_canonical_solution(sys: OkuboSystem, cfg: PathConfig,
 
 
 def numeric_monodromy(sys: OkuboSystem, cfg: PathConfig,
-                      order: int | None = None) -> MonodromyTuple:
-    """M_k = Psi(p0)^{-1} (Psi continued along gamma_k).
+                      series: list | None = None) -> MonodromyTuple:
+    """M_k = Psi(p0)^{-1} (Psi continued along gamma_k).  ``series`` (one
+    per t_k, as from local_series) is computed when not given.
 
     Only the segment p0 -> q_k is transported.  Near t_k, Psi = F(x)(x -
     t_k)^{A_k} C for a constant C, and one positive turn multiplies
@@ -367,7 +368,8 @@ def numeric_monodromy(sys: OkuboSystem, cfg: PathConfig,
     are taken by solves: forming F e(A_k) F^{-1} with an explicit inverse
     can lose a decade more where F(q_k) is ill-conditioned.
     """
-    series = local_series(sys, cfg, order)
+    if series is None:
+        series = local_series(sys, cfg)
     psi0 = numeric_canonical_solution(sys, cfg, series=series)
     n = sys.n
     groups, masks = [], []
@@ -430,7 +432,7 @@ def numeric_determinant(sys: OkuboSystem, cfg: PathConfig, x: complex,
 # ---------------------------------------------------------------------------
 # verification report
 
-def spectrum_matches(mat: np.ndarray, values, tol: float) -> float:
+def spectrum_matches(mat: np.ndarray, values) -> float:
     """Distance between the eigenvalue multiset of mat and the expected one.
 
     Expected values are grouped by multiplicity and each group is compared

@@ -373,8 +373,7 @@ def chain_block_index(spec: YokoyamaSpec) -> int:
 # ---------------------------------------------------------------------------
 # symmetry conjugation
 
-def symmetry_conjugate(sys: OkuboSystem, spec: YokoyamaSpec,
-                       i: int, j: int) -> OkuboSystem:
+def symmetry_conjugate(sys: OkuboSystem, i: int, j: int) -> OkuboSystem:
     """Conjugate by the permutation matrix swapping diagonal positions i, j
     (0-based; both must sit in the same block)."""
     n = sys.n

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from okubo.cli import main, parse_complex, parse_complex_list
+from okubo.cli import build_parser, main, parse_complex, parse_complex_list
 from okubo.core import (default_config, load_json, matrix_from_json,
                         okubo_from_json, okubo_to_json)
 from okubo.yokoyama import sample_spec, canonical_system
@@ -191,6 +191,32 @@ def test_verify_fails_on_nan_determinant_residual(tmp_path, monkeypatch):
     assert math.isnan(det["residual"]) and not det["passed"]
 
 
+def test_verify_builds_each_series_once(tmp_path, monkeypatch):
+    # the monodromy and the determinant's Psi0 share one series per t_k.
+    # Psi0 itself is still built twice, once for each: the benchmark's
+    # tracer test pins verify.canonical_solution_calls at 2 per verify op.
+    import okubo.cli
+    import okubo.verify
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(okubo.verify, "adaptive_series",
+                        counted("series", okubo.verify.adaptive_series))
+    for mod in (okubo.cli, okubo.verify):
+        monkeypatch.setattr(mod, "numeric_canonical_solution",
+                            counted("psi0", mod.numeric_canonical_solution))
+    assert run(["verify", "--type", "III", "--n", "2", "--seed", "3",
+                "-o", str(tmp_path / "v.json")]) == 0
+    sysm = canonical_system(sample_spec("III", 2, np.random.default_rng(3)))
+    assert calls.count("series") == sysm.r
+    assert calls.count("psi0") == 2
+
+
 def test_verify_pass_and_exit_codes(tmp_path):
     out = tmp_path / "r.json"
     assert run(["verify", "--type", "II", "--n", "1", "--seed", "9",
@@ -266,6 +292,27 @@ def test_point_layout_branch_error_names_its_cause(tmp_path, capsys, points):
     assert load_json(out)["error"] == msg
 
 
+@pytest.mark.parametrize("extra", [[], ["--numeric"]])
+def test_monodromy_closed_form_of_file_is_usage_error(tmp_path, capsys,
+                                                      monkeypatch, extra):
+    # the closed form needs the spec's exponents, which a file lacks; the
+    # usage error comes before any numeric work
+    import okubo.cli
+
+    def numeric(*args, **kwargs):
+        raise AssertionError("numeric work before the usage error")
+
+    monkeypatch.setattr(okubo.cli, "numeric_monodromy", numeric)
+    sysm = canonical_system(sample_spec("II", 2, np.random.default_rng(5)))
+    _, code = _run_on_input(
+        tmp_path, ["monodromy", "--input", "{path}", "--closed-form", *extra],
+        json.dumps(okubo_to_json(sysm)))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: --closed-form needs spec flags, not a file" in err
+    assert not (tmp_path / "out.json").exists()
+
+
 INPUT_COMMANDS = [
     ["verify", "--type", "II", "--n", "2", "--input", "{path}"],
     ["mc", "{path}", "--mu", "0.3"],
@@ -337,3 +384,23 @@ def test_deterministic_outputs(tmp_path):
     run(["generate", "--type", "III", "--n", "1", "--seed", "12", "-o", str(a)])
     run(["generate", "--type", "III", "--n", "1", "--seed", "12", "-o", str(b)])
     assert a.read_text() == b.read_text()
+
+
+def test_one_parser_per_process_keeps_no_state_between_runs(tmp_path):
+    # --x appends to a fresh list in every run of the shared parser; det-check
+    # pads its points to three, so four points, then none, give 4 then 3
+    assert build_parser() is build_parser()
+    out = tmp_path / "d.json"
+    counts = []
+    for extra in (["--x=0.3+0.1i", "--x=0.4-0.2i", "--x=0.5+0.1i",
+                   "--x=0.6+0.2i"], []):
+        assert run(["det-check", "--type", "II", "--n", "2", "--seed", "4",
+                    *extra, "-o", str(out)]) == 0
+        counts.append(len(load_json(out)["checks"]))
+    assert counts == [4, 3]
+    reports = []
+    for name in ("a.json", "b.json"):
+        assert run(["verify", "--type", "II", "--n", "2", "--seed", "4",
+                    "-o", str(tmp_path / name)]) == 0
+        reports.append((tmp_path / name).read_text())
+    assert reports[0] == reports[1]

@@ -1,10 +1,14 @@
-"""Source hygiene: no module imports a name it never reads."""
+"""Source hygiene: no module imports a name it never reads, and no package
+function takes a parameter its body never reads."""
 
 import ast
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCANNED = ("src/okubo", "tests", "tools")
+# Segment.velocity keeps Arc.velocity's signature: the transport calls
+# piece.velocity(s) on either kind of path piece.
+UNREAD_ALLOWED = {"src/okubo/verify.py": ["Segment.velocity.s"]}
 
 
 def unused_imports(path):
@@ -24,6 +28,32 @@ def unused_imports(path):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     return [f"{name} (line {line})" for name, line in sorted(bound.items())
             if name not in read]
+
+
+def unread_parameters(path):
+    """Parameters of the functions in ``path`` that their bodies (nested
+    functions included) never read, as 'qualname.parameter'."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                params = [p.arg for p in (*a.posonlyargs, *a.args, a.vararg,
+                                          *a.kwonlyargs, a.kwarg) if p]
+                read = {n.id for stmt in child.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name)
+                        and isinstance(n.ctx, ast.Load)}
+                out.extend(f"{prefix}{child.name}.{p}" for p in params
+                           if p not in read)
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "")
+    return out
 
 
 def scanned_files():
@@ -54,3 +84,20 @@ def test_no_unused_module_level_imports():
     found = {path.relative_to(ROOT).as_posix(): unused_imports(path)
              for path in scanned_files()}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_unread_parameter_is_found(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("class C:\n"
+                    "    def f(self, a, *args, b, **kw):\n"
+                    "        def g(c):\n"
+                    "            return a\n"
+                    "        return g, kw\n")
+    assert unread_parameters(path) == ["C.f.self", "C.f.args", "C.f.b",
+                                       "C.f.g.c"]
+
+
+def test_every_package_parameter_is_read():
+    found = {path.relative_to(ROOT).as_posix(): unread_parameters(path)
+             for path in sorted((ROOT / "src/okubo").glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == UNREAD_ALLOWED

@@ -379,7 +379,7 @@ def test_mc_add_fuchs_preserved():
             want = list(want) + [rho] * l
         else:
             want = list(want - (rho + c))
-        assert spectrum_matches(out.block(i, i), want, 1e-9) < 1e-9
+        assert spectrum_matches(out.block(i, i), want) < 1e-9
 
 
 def test_mc_add_monodromy_structure_and_s_equals_lambda():

@@ -24,6 +24,7 @@ from okubo.verify import (
     continue_along,
     eval_local_block,
     frobenius_series,
+    local_series,
     loop_entry,
     loop_path,
     numeric_canonical_solution,
@@ -387,6 +388,14 @@ def test_monodromy_computes_each_series_once(monkeypatch):
     assert calls == [0, 1, 2]
 
 
+def test_monodromy_uses_given_series():
+    sysm = canonical_system(sample_spec("III", 2, np.random.default_rng(3)))
+    cfg = default_config(sysm.points)
+    given = numeric_monodromy(sysm, cfg, series=local_series(sysm, cfg))
+    for a, b in zip(given.matrices, numeric_monodromy(sysm, cfg).matrices):
+        assert np.array_equal(a, b)
+
+
 def test_monodromy_makes_two_ode_solves(monkeypatch):
     # one solve carries every block to p0, one carries Psi0 to every q_k;
     # groups of 1 of 5 and 4 of 20 columns both tighten rtol by sqrt(5)
@@ -597,6 +606,7 @@ def test_monodromy_convergence_under_refinement():
     mon1 = numeric_monodromy(sysm, cfg)
     rtol = cfg.rtol / 2
     cfg2 = replace(cfg, rtol=rtol, max_order=2 * base_order + 8)
-    mon2 = numeric_monodromy(sysm, cfg2, order=2 * base_order)
+    mon2 = numeric_monodromy(sysm, cfg2,
+                             series=local_series(sysm, cfg2, 2 * base_order))
     for a, b in zip(mon1.matrices, mon2.matrices):
         assert np.max(np.abs(a - b)) < 1e-8
