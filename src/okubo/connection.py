@@ -24,9 +24,9 @@ from .core import (
     PathConfig,
     PoleError,
     ShapeError,
-    SingularPoint,
     _is_nonpositive_integer,
     branch_power,
+    check_segment,
     e_of,
     gamma_c,
     gamma_ratio,
@@ -203,17 +203,11 @@ def regularized_beta(a, beta) -> np.ndarray:
 
 def okubo_determinant(spec: YokoyamaSpec, x, cfg: PathConfig) -> complex:
     """Closed-form det Psi(x): gamma prefactor times the branch-tracked
-    powers prod_k (x - t_k)^(sum_j alpha^(k)_j); SingularPoint when x is
-    one of the t_k.
-
-    The branch of arg(x - t_k) continues theta_k along the straight segment
-    from the base point, matching the numeric determinant's continuation.
-    """
+    powers prod_k (x - t_k)^(sum_j alpha^(k)_j), arg(x - t_k) continued from
+    theta_k along the segment p0 -> x (check_segment rejects a t_k on it),
+    the branch numeric_determinant takes."""
     x = complex(x)
-    for k, t in enumerate(spec.points):
-        if x == t:
-            raise SingularPoint(f"x={x} coincides with the singular point "
-                                f"t_{k}; det Psi is not defined there")
+    check_segment(spec.points, cfg.base_point, x)
     exps = spec.local_exponents()
     rhos = spec.rho_list()
     for r in rhos:

@@ -366,6 +366,18 @@ def default_config(points) -> PathConfig:
                       radii=tuple(radii))
 
 
+def check_segment(points, base_point: complex, x: complex) -> None:
+    """SingularPoint naming k when t_k lies on the segment [p0, x], that is
+    when (x - t_k)/(p0 - t_k) is real and <= 0 (it is 0 when x = t_k)."""
+    for k, t in enumerate(points):
+        ratio = (x - t) / (base_point - t)
+        if ratio.imag == 0 and ratio.real <= 0:
+            where = (f"x={x} coincides with" if x == t else f"the segment "
+                     f"from p0={base_point} to x={x} passes through")
+            raise SingularPoint(f"{where} the singular point t_{k}, where "
+                                f"det Psi is not defined")
+
+
 def _arg_in_interval(z: complex, lo: float, hi: float) -> float:
     """Representative of arg(z) in the open interval (lo, hi), or BranchError."""
     base = cmath.phase(z)

@@ -24,9 +24,9 @@ from .core import (
     PathConfig,
     ResonanceError,
     SingularBlock,
-    SingularPoint,
     SingularPsi,
     StepFailure,
+    check_segment,
     matrix_scale,
     okubo_to_schlesinger,
 )
@@ -318,12 +318,8 @@ def transport(sys: OkuboSystem, groups, rtol: float,
 # ---------------------------------------------------------------------------
 # canonical solution matrix and monodromy
 
-def local_series(sys: OkuboSystem, cfg: PathConfig,
-                 order: int | None = None) -> list:
-    """The Frobenius series at every t_k: grown until it converges at the
-    loop radius r_k, or of the fixed ``order``."""
-    if order is not None:
-        return [frobenius_series(sys, k, order) for k in range(sys.r)]
+def local_series(sys: OkuboSystem, cfg: PathConfig) -> list:
+    """The Frobenius series at every t_k, grown to converge at radius r_k."""
     return [adaptive_series(sys, k, cfg.radii[k], tol=cfg.series_tol,
                             cap=cfg.max_order) for k in range(sys.r)]
 
@@ -415,18 +411,15 @@ def numeric_connection(sys: OkuboSystem, cfg: PathConfig,
 
 def numeric_determinant(sys: OkuboSystem, cfg: PathConfig, x: complex,
                         psi0: np.ndarray) -> complex:
-    """det Psi(x), continued from Psi0 = Psi(p0) along the straight segment;
-    SingularPoint when x is one of the t_k."""
-    x = complex(x)
+    """det Psi(x) by Liouville's formula, det Psi0 prod_k ((x - t_k)/(p0 -
+    t_k))^{tr A_kk}, with the principal power: the branch continued along
+    the segment p0 -> x, on which check_segment rejects any t_k."""
+    x, p0 = complex(x), cfg.base_point
+    check_segment(sys.points, p0, x)
+    det = complex(np.linalg.det(psi0))
     for k, t in enumerate(sys.points):
-        if x == t:
-            raise SingularPoint(f"x={x} coincides with the singular point "
-                                f"t_{k}; det Psi is not defined there")
-    if x == cfg.base_point:
-        return complex(np.linalg.det(psi0))
-    psi_x, = transport(sys, [(Segment(cfg.base_point, x), psi0)],
-                       cfg.rtol, cfg.atol)
-    return complex(np.linalg.det(psi_x))
+        det *= ((x - t) / (p0 - t)) ** complex(np.trace(sys.block(k, k)))
+    return det
 
 
 # ---------------------------------------------------------------------------

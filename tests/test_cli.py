@@ -262,15 +262,42 @@ def test_tolerance_must_be_positive_and_finite(tmp_path, capsys, command, tol):
     assert not (tmp_path / "r.json").exists()
 
 
-@pytest.mark.parametrize("x,k", [("0", 0), ("1", 1)])
-def test_det_check_at_singular_point_names_it(tmp_path, capsys, x, k):
+@pytest.mark.parametrize("x,msg", [
+    pytest.param("0", "x=0j coincides with the singular point t_0",
+                 id="0-0"),
+    pytest.param("1", "x=(1+0j) coincides with the singular point t_1",
+                 id="1-1"),
+    # p0 = 0.5 - 1i, so t_0 = 0 is the midpoint of the segment [p0, x]
+    pytest.param("-0.5+1i", "the segment from p0=(0.5-1j) to x=(-0.5+1j) "
+                 "passes through the singular point t_0", id="-0.5+1i-0"),
+])
+def test_det_check_at_singular_point_names_it(tmp_path, capsys, x, msg):
     out = tmp_path / "d.json"
     code = run(["det-check", "--type", "II", "--n", "2", "--seed", "1",
-                "--x", x, "-o", str(out)])
+                f"--x={x}", "-o", str(out)])
     assert code == 3
-    msg = f"coincides with the singular point t_{k}"
     assert msg in capsys.readouterr().err
     assert msg in load_json(out)["error"]
+
+
+def test_verify_solves_three_odes(tmp_path, monkeypatch):
+    # two Psi0 builds and the monodromy's columns; the determinant has a
+    # closed form in det Psi0
+    import okubo.verify
+    calls = []
+    solve = okubo.verify.solve_ivp
+    monkeypatch.setattr(okubo.verify, "solve_ivp",
+                        lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+    assert run(["verify", "--type", "III", "--n", "2", "--seed", "1",
+                "-o", str(tmp_path / "v.json")]) == 0
+    assert len(calls) == 3
+
+
+def test_det_check_just_off_a_singular_segment_evaluates(tmp_path):
+    out = tmp_path / "d.json"
+    assert run(["det-check", "--type", "II", "--n", "2", "--seed", "1",
+                "--x=-0.5+1.0000001i", "-o", str(out)]) == 0
+    assert load_json(out)["passed"]
 
 
 @pytest.mark.parametrize("points", [(0, -1), (1j, 0)])

@@ -289,6 +289,38 @@ def test_determinant_matches_formula_hge():
     assert abs(dn - dc) < 1e-8 * abs(dc)
 
 
+@pytest.mark.parametrize("kind,n,seed", [("II", 2, 3), ("III", 2, 5),
+                                         ("I*", 4, 7)])
+def test_liouville_determinant_matches_transported_psi(kind, n, seed):
+    # det of Psi0 carried along [p0, x] by the ODE, at points on both sides
+    # of p0 and one past the real line between t_0 and t_1
+    sysm = canonical_system(sample_spec(kind, n, np.random.default_rng(seed)))
+    cfg = default_config(sysm.points)
+    psi0 = numeric_canonical_solution(sysm, cfg)
+    p0, (t0, t1) = cfg.base_point, sysm.points[:2]
+    for x in (p0 + 0.2, p0 - 0.2, p0 + 0.15j, p0 - 0.3j,
+              (t0 + t1) / 2 + 0.5j):
+        psi_x, = transport(sysm, [(Segment(p0, x), psi0)], cfg.rtol,
+                           cfg.atol)
+        want = np.linalg.det(psi_x)
+        got = numeric_determinant(sysm, cfg, x, psi0)
+        assert abs(got - want) <= 1e-10 * abs(want)
+
+
+def test_numeric_determinant_solves_no_ode(monkeypatch):
+    import okubo.verify
+    sysm = hge_canonical()
+    cfg = default_config(sysm.points)
+    psi0 = numeric_canonical_solution(sysm, cfg)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("numeric_determinant called solve_ivp")
+
+    monkeypatch.setattr(okubo.verify, "solve_ivp", no_solve)
+    assert np.isfinite(numeric_determinant(sysm, cfg, cfg.base_point + 0.1,
+                                           psi0))
+
+
 def test_monodromy_diagonal_system():
     sysm = diagonal_system()
     cfg = default_config(sysm.points)
@@ -431,7 +463,9 @@ def test_rtol_below_dop853_floor_after_shrink_raises(monkeypatch):
     assert calls == []
     # a single group is not shrunk, so the same rtol runs
     psi0 = numeric_canonical_solution(sysm, default_config(sysm.points))
-    numeric_determinant(sysm, cfg, cfg.base_point + 0.1, psi0)
+    p0 = cfg.base_point
+    transport(sysm, [(Segment(p0, p0 + 0.1), psi0)], 4e-14, 4e-16)
+    assert calls[-1]["rtol"] == 4e-14
 
 
 def test_one_point_monodromy_is_e_of_a():
@@ -607,6 +641,7 @@ def test_monodromy_convergence_under_refinement():
     rtol = cfg.rtol / 2
     cfg2 = replace(cfg, rtol=rtol, max_order=2 * base_order + 8)
     mon2 = numeric_monodromy(sysm, cfg2,
-                             series=local_series(sysm, cfg2, 2 * base_order))
+                             series=[frobenius_series(sysm, k, 2 * base_order)
+                                     for k in range(sysm.r)])
     for a, b in zip(mon1.matrices, mon2.matrices):
         assert np.max(np.abs(a - b)) < 1e-8
